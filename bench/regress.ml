@@ -1,17 +1,15 @@
 (* bench-regression gate: compare a fresh BENCH_*.json against the
-   committed baseline and fail (exit 1) on >10 % drift in any gated
-   metric.
+   committed baseline and fail (exit 1) when any gated metric drifts the
+   wrong way beyond its tolerance (10 % unless noted below).
 
      regress BASELINE.json CURRENT.json
 
    The dumps are JSON arrays of per-engine metric registries (see
    bench/main.ml: dump_bench).  Numeric leaves are flattened to
-   "<engine-index>.<metric-name>" keys.  Only metrics under a "batch."
-   prefix are gated — those are the per-operation gauges the batch
-   experiment publishes precisely for this comparison; raw counters
-   elsewhere in the dump move for benign reasons (extra instrumentation,
-   workload tweaks) and stay informational.  Direction comes from the
-   key's suffix:
+   "<engine-index>.<metric-name>" keys.  A key is gated when its suffix is
+   recognized; raw counters without one move for benign reasons (extra
+   instrumentation, workload tweaks) and stay informational.  Direction
+   comes from the key's suffix:
 
      *.msgs_per_op, *.bytes_per_op    lower is better
      *.p50_ms, *.p90_ms, *.p99_ms,
@@ -20,6 +18,10 @@
                                       upward)
      *.ops_per_sec                    higher is better
      *_reduction_pct                  higher is better
+     *.events_fired                   lower is better, no tolerance: the
+                                      engine's event count is exact, so
+                                      any rise is new host work (a
+                                      returning wake-up herd fails here)
 
    A gated key present in the baseline but missing from the current dump
    is a failure (a regression can't hide by deleting its metric). *)
@@ -223,6 +225,7 @@ let direction key =
     || ends_with ".shed_rate" key
     || ends_with ".accept_overflow" key
   then Some (`Lower_better, threshold)
+  else if ends_with ".events_fired" key then Some (`Lower_better, 0.0)
   else if ends_with ".ops_per_sec" key || ends_with "_reduction_pct" key then
     Some (`Higher_better, threshold)
   else if ends_with ".seeds_per_sec" key || ends_with ".speedup_x" key then

@@ -29,6 +29,10 @@ type pending_tuple = {
   pt_payload : Wire.det_payload;
 }
 
+(* A replay-gated thread parked on the secondary, stamped with its park
+   order so releases resume waiters in the order they parked. *)
+type gate_waiter = { gw_seq : int; gw_wake : unit -> unit }
+
 type thread_ctx = {
   ft_pid : int;
   mutable dseq : int;  (* deterministic-section sequence *)
@@ -36,6 +40,8 @@ type thread_ctx = {
   sys_q : queued_syscall Bqueue.t;  (* secondary: routed results *)
   mutable live_seen : bool;
   tq : pending_tuple Queue.t;  (* secondary: this thread's tuples, FIFO *)
+  mutable tq_waiter : gate_waiter option;
+      (* secondary: parked with an empty [tq]; released by its delivery *)
   mutable in_chans : chan_state list;  (* channels locked by open section *)
   mutable cur_payload : Wire.det_payload;  (* primary, inside section *)
   mutable cur_span : Evlog.span option;  (* open "section" span *)
@@ -51,7 +57,11 @@ type t = {
   by_ftpid : (int, thread_ctx) Hashtbl.t;
   mutable ml : Msglayer.sink option;
   mutable next_ftpid : int;
-  turn_changed : Waitq.t;  (* secondary: any delivery or cursor advance *)
+  gate : (int * int, gate_waiter) Hashtbl.t;
+      (* secondary: threads whose head tuple waits for channel [c] to reach
+         chan_seq [s], keyed [(c, s)]; released by the consume that moves
+         [c] to [s] *)
+  mutable gate_seq : int;  (* park-order stamp for [gate_waiter]s *)
   mutable live : bool;
   mutable emitted_total : int;  (* primary: sections appended (the epoch) *)
   mutable consumed_total : int;  (* secondary: sections replayed *)
@@ -83,7 +93,8 @@ let make rl ?(shard = true) eng ml =
     by_ftpid = Hashtbl.create 64;
     ml;
     next_ftpid = 0;
-    turn_changed = Waitq.create ();
+    gate = Hashtbl.create 64;
+    gate_seq = 0;
     live = false;
     emitted_total = 0;
     consumed_total = 0;
@@ -197,6 +208,7 @@ let fresh_ctx ~ft_pid ~live_seen =
     sys_q = Bqueue.create ();
     live_seen;
     tq = Queue.create ();
+    tq_waiter = None;
     in_chans = [];
     cur_payload = Wire.P_plain;
     cur_span = None;
@@ -322,12 +334,58 @@ let det_end_primary t =
 (* A thread's next tuple is runnable once every channel it claims has
    consumed exactly the tuple's chan_seq predecessors.  chan_seqs were
    assigned atomically at the primary's commit points, so the per-channel
-   orders embed into one global order and this gating cannot cycle. *)
-let head_runnable t ctx =
+   orders embed into one global order and this gating cannot cycle.  A
+   blocked head waits on the first channel that is not there yet: only the
+   consume that moves that channel to the tuple's chan_seq can change the
+   verdict. *)
+type gate_state = Runnable | Empty_queue | Blocked_on of int * int
+
+let gate_state t ctx =
   match Queue.peek_opt ctx.tq with
-  | None -> false
-  | Some pt ->
-      List.for_all (fun (c, s) -> (chan_get t c).ch_consumed = s) pt.pt_chans
+  | None -> Empty_queue
+  | Some pt -> (
+      match
+        List.find_opt (fun (c, s) -> (chan_get t c).ch_consumed <> s) pt.pt_chans
+      with
+      | None -> Runnable
+      | Some (c, s) -> Blocked_on (c, s))
+
+let park_gate t ctx st waker =
+  t.gate_seq <- t.gate_seq + 1;
+  let w = { gw_seq = t.gate_seq; gw_wake = waker } in
+  match st with
+  | Blocked_on (c, s) -> Hashtbl.add t.gate (c, s) w
+  | Empty_queue -> ctx.tq_waiter <- Some w
+  | Runnable -> assert false
+
+(* Resume released waiters in park order; a single one skips the sort. *)
+let wake_in_park_order = function
+  | [] -> ()
+  | [ w ] -> w.gw_wake ()
+  | ws ->
+      List.sort (fun a b -> Int.compare a.gw_seq b.gw_seq) ws
+      |> List.iter (fun w -> w.gw_wake ())
+
+let take_gate t key =
+  match Hashtbl.find_all t.gate key with
+  | [] -> []
+  | ws ->
+      List.iter (fun _ -> Hashtbl.remove t.gate key) ws;
+      ws
+
+(* Going live opens every gate at once. *)
+let release_all_gates t =
+  let ws = Hashtbl.fold (fun _ w acc -> w :: acc) t.gate [] in
+  Hashtbl.reset t.gate;
+  Hashtbl.fold
+    (fun _ ctx acc ->
+      match ctx.tq_waiter with
+      | Some w ->
+          ctx.tq_waiter <- None;
+          w :: acc
+      | None -> acc)
+    t.by_ftpid ws
+  |> wake_in_park_order
 
 let det_start_live t ctx ~chans =
   ctx.live_seen <- true;
@@ -343,15 +401,17 @@ let det_start_secondary t ~chans =
   else begin
     let rec wait stalled =
       if t.live then ctx.live_seen <- true
-      else if not (head_runnable t ctx) then begin
-        (* Count each gated section once, however many wake-ups it absorbs:
-           with parallel replay executors this is the contention signal —
-           how often a delivered tuple had to wait for another executor's
-           channel predecessors. *)
-        if not stalled then Metrics.Counter.incr t.m_gate_stalls;
-        ignore (Sync.wait_on t.turn_changed);
-        wait true
-      end
+      else
+        match gate_state t ctx with
+        | Runnable -> ()
+        | st ->
+            (* Count each gated section once, however many wake-ups it
+               absorbs: with parallel replay executors this is the
+               contention signal — how often a delivered tuple had to wait
+               for another executor's channel predecessors. *)
+            if not stalled then Metrics.Counter.incr t.m_gate_stalls;
+            Engine.suspend (fun _p waker -> park_gate t ctx st waker);
+            wait true
     in
     wait false;
     if ctx.live_seen then det_start_live t ctx ~chans
@@ -399,7 +459,8 @@ let det_end_secondary t =
     Metrics.Counter.incr t.ops;
     Metrics.Counter.incr t.m_sections;
     section_end t ctx;
-    ignore (Waitq.wake_all t.turn_changed)
+    List.concat_map (fun (c, s) -> take_gate t (c, s + 1)) pt.pt_chans
+    |> wake_in_park_order
   end
 
 let det_start t ~chans =
@@ -460,7 +521,11 @@ let deliver_tuple t ~ft_pid ~thread_seq ~chans ~payload =
     { pt_thread_seq = thread_seq; pt_chans = chans; pt_payload = payload }
     ctx.tq;
   t.pending_count <- t.pending_count + 1;
-  ignore (Waitq.wake_all t.turn_changed)
+  match ctx.tq_waiter with
+  | Some w ->
+      ctx.tq_waiter <- None;
+      w.gw_wake ()
+  | None -> ()
 
 let deliver_syscall t ~ft_pid ~result =
   Bqueue.put (ctx_for_delivery t ft_pid).sys_q (Q_result result)
@@ -533,7 +598,7 @@ let go_live t =
        the primary's order: close the comparable region. *)
     (match t.dig with Some d -> Digest.seal d | None -> ());
     Trace.warnf log ~eng:t.eng "det engine live: replay gates open";
-    ignore (Waitq.wake_all t.turn_changed);
+    release_all_gates t;
     Hashtbl.iter (fun _ ctx -> Bqueue.put ctx.sys_q Q_live) t.by_ftpid
   end
 
@@ -564,7 +629,7 @@ let promote t sink =
   if not t.live then begin
     t.live <- true;
     Trace.warnf log ~eng:t.eng "det engine promoted: recording primary";
-    ignore (Waitq.wake_all t.turn_changed);
+    release_all_gates t;
     Hashtbl.iter (fun _ ctx -> Bqueue.put ctx.sys_q Q_live) t.by_ftpid
   end
 

@@ -46,7 +46,12 @@ type primary = {
      acks: channel id -> sections consumed.  Observability only (the
      output-commit rule needs just [p_acked]). *)
   p_chan_acks : (int, int) Hashtbl.t;
-  stable_waiters : Waitq.t;
+  (* Output-commit waiters keyed by LSN: [prio] is the LSN a waiter needs
+     stable, [seq] its park order.  An ack pops exactly the waiters it
+     makes stable, so it costs one wake-up per commit it releases however
+     many are parked. *)
+  stable_waiters : (unit -> unit) Heap.t;
+  mutable park_seq : int;
   mutable disabled : bool;
   mutable p_last_peer : Time.t;
   (* Staged records not yet on the wire, oldest last ([buf] is reversed).
@@ -130,7 +135,8 @@ let create_primary ?(batch = unbatched) ?journal ?(base_lsn = 0) eng ~out ~inb
     next_lsn = base_lsn;
     p_acked = base_lsn - 1;
     p_chan_acks = Hashtbl.create 8;
-    stable_waiters = Waitq.create ();
+    stable_waiters = Heap.create ();
+    park_seq = 0;
     disabled = false;
     p_last_peer = Engine.now eng;
     buf = [];
@@ -283,16 +289,40 @@ let flush_for ~lsn p =
     end
   end
 
+let park_stable p ~lsn waker =
+  p.park_seq <- p.park_seq + 1;
+  Heap.push p.stable_waiters ~prio:lsn ~seq:p.park_seq waker
+
+(* Resume every waiter parked at an LSN <= [upto], in park order, not LSN
+   order: same-instant resumptions keep the order the commits arrived in.
+   The common case — one waiter released — pops and wakes without building
+   or sorting a list. *)
+let release_stable p ~upto =
+  let h = p.stable_waiters in
+  if Heap.min_prio h <= upto then
+    match Heap.pop h with
+    | None -> ()
+    | Some (_, seq, waker) ->
+        if Heap.min_prio h > upto then waker ()
+        else begin
+          let rec collect acc =
+            if Heap.min_prio h > upto then acc
+            else
+              match Heap.pop h with
+              | Some (_, seq, w) -> collect ((seq, w) :: acc)
+              | None -> acc
+          in
+          collect [ (seq, waker) ]
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+          |> List.iter (fun (_, w) -> w ())
+        end
+
 let wait_stable p ~lsn =
   flush_for ~lsn p;
-  let rec wait () =
-    if p.disabled || p.p_acked >= lsn then ()
-    else begin
-      ignore (Sync.wait_on p.stable_waiters);
-      wait ()
-    end
-  in
-  wait ()
+  (* One park suffices: the waiter is popped only once [p_acked >= lsn] or
+     the primary is disabled, either of which makes the commit final. *)
+  if not (p.disabled || p.p_acked >= lsn) then
+    Engine.suspend (fun _p waker -> park_stable p ~lsn waker)
 
 let disable p =
   if not p.disabled then begin
@@ -303,7 +333,7 @@ let disable p =
     p.buf_count <- 0;
     p.buf_bytes <- 0;
     Trace.warnf log ~eng:p.p_eng "replication disabled (secondary presumed dead)";
-    ignore (Waitq.wake_all p.stable_waiters);
+    release_stable p ~upto:max_int;
     ignore (Waitq.wake_all p.flush_wq)
   end
 
@@ -343,7 +373,7 @@ let spawn_primary_rx p spawn =
                        ("upto", Evlog.Int upto);
                        ("chans", Evlog.Int (List.length chans));
                      ];
-                 ignore (Waitq.wake_all p.stable_waiters)
+                 release_stable p ~upto
                end
            | Wire.Heartbeat _ -> ()
            | Wire.Record _ | Wire.Batch _ ->
@@ -857,9 +887,13 @@ let group_live_count g =
 let group_wait_stable g ~lsn =
   (* Flush every member first (flush-on-output-commit), then park.  Quorum
      shrinks with disabled members; with none left, stability is vacuous
-     (solo mode).  Progress can come from any member, so park with a
-     fire-once waker registered on every member's waiter queue
-     (wait-for-any, as in Tcp.poll). *)
+     (solo mode).  Progress can come from any member that has not yet acked
+     [lsn], so park with a fire-once waker registered under [lsn] on each
+     of them (wait-for-any, as in Tcp.poll).  A member that already acked,
+     or that dies, cannot complete the quorum by itself: acks only move
+     forward and disabling shrinks [need] and the acked count together.
+     Entries left behind by the waker that fired are dropped when their
+     member's ack passes [lsn] or the member is disabled. *)
   Array.iter (flush_for ~lsn) g.members;
   let rec wait () =
     let live = group_live_count g in
@@ -875,7 +909,9 @@ let group_wait_stable g ~lsn =
             end
           in
           Array.iter
-            (fun p -> ignore (Waitq.add p.stable_waiters fire))
+            (fun p ->
+              if (not p.disabled) && p.p_acked < lsn then
+                park_stable p ~lsn fire)
             g.members);
       wait ()
     end
@@ -889,7 +925,7 @@ let group_disable g i =
     disable p;
     (* Wake stability waiters parked on any member: quorum may now be met
        (or vacuous). *)
-    Array.iter (fun m -> ignore (Waitq.wake_all m.stable_waiters)) g.members
+    Array.iter (fun m -> release_stable m ~upto:max_int) g.members
   end
 
 let sink_of_group g =

@@ -99,7 +99,9 @@ val wait_stable : primary -> lsn:int -> unit
 (** Block until [acked >= lsn] (returns immediately when replication is
     disabled or the LSN is already stable).  Flushes any staged records
     covering [lsn] first — flush-on-output-commit: a commit never waits on
-    an ack for a record that has not been sent. *)
+    an ack for a record that has not been sent.  The waiter parks once,
+    keyed by [lsn]: an ack resumes exactly the waiters it makes stable, in
+    the order they parked. *)
 
 val disable : primary -> unit
 (** Secondary declared dead: appends become no-ops, every stability waiter

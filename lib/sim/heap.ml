@@ -61,6 +61,8 @@ let pop h =
     Some (top.prio, top.seq, top.value)
   end
 
+let min_prio h = if h.len = 0 then max_int else h.arr.(0).prio
+
 let peek h =
   if h.len = 0 then None
   else

@@ -1,9 +1,10 @@
 (** Array-backed binary min-heap, specialised to integer priorities.
 
-    Used by the simulation engine as its event queue.  Ties are not broken by
-    the heap itself; callers that need FIFO behaviour among equal priorities
-    must encode a sequence number into the priority comparison, which
-    {!Engine} does. *)
+    Used by the simulation engine as its event queue, and as an ordered
+    waiter set (output-commit waiters keyed by LSN).  Ties are not broken
+    by the heap itself; callers that need FIFO behaviour among equal
+    priorities must encode a sequence number into the priority comparison,
+    which {!Engine} does. *)
 
 type 'a t
 
@@ -21,5 +22,9 @@ val pop : 'a t -> (int * int * 'a) option
 (** Remove and return the minimum [(prio, seq, value)] triple. *)
 
 val peek : 'a t -> (int * int * 'a) option
+
+val min_prio : 'a t -> int
+(** Priority of the minimum entry, [max_int] when empty.  Allocation-free,
+    for callers that test the top before popping. *)
 
 val clear : 'a t -> unit

@@ -50,32 +50,6 @@ module Mutex = struct
     Fun.protect ~finally:(fun () -> unlock t) f
 end
 
-module Cond = struct
-  type t = { q : Waitq.t }
-
-  let create () = { q = Waitq.create () }
-
-  let wait t m =
-    Engine.suspend (fun _p waker ->
-        ignore (Waitq.add t.q waker);
-        Mutex.unlock m);
-    Mutex.lock m
-
-  let timed_wait t m ~deadline =
-    let outcome =
-      Engine.with_timeout ~at:deadline (fun _p wake ->
-          let entry = Waitq.add t.q wake in
-          Mutex.unlock m;
-          fun () -> Waitq.cancel entry)
-    in
-    Mutex.lock m;
-    match outcome with `Done -> `Woken | `Timeout -> `Timeout
-
-  let signal t = ignore (Waitq.wake_one t.q)
-  let broadcast t = ignore (Waitq.wake_all t.q)
-  let waiters t = Waitq.length t.q
-end
-
 module Semaphore = struct
   type t = { mutable count : int; q : Waitq.t }
 

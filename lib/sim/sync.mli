@@ -1,5 +1,5 @@
-(** Blocking synchronization for simulated processes: mutexes, condition
-    variables and counting semaphores.
+(** Blocking synchronization for simulated processes: mutexes and counting
+    semaphores.
 
     These are the *simulation-level* primitives used to build the model
     itself.  The kernel's pthread layer ({!Ftsim_kernel.Pthread}) is a
@@ -25,22 +25,6 @@ module Mutex : sig
   val waiters : t -> int
 
   val with_lock : t -> (unit -> 'a) -> 'a
-end
-
-module Cond : sig
-  type t
-
-  val create : unit -> t
-
-  val wait : t -> Mutex.t -> unit
-  (** Atomically release the mutex and park; re-acquires before returning. *)
-
-  val timed_wait : t -> Mutex.t -> deadline:Time.t -> outcome
-  (** Like {!wait} with a deadline; the mutex is re-acquired either way. *)
-
-  val signal : t -> unit
-  val broadcast : t -> unit
-  val waiters : t -> int
 end
 
 module Semaphore : sig

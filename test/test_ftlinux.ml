@@ -835,9 +835,36 @@ let test_msglayer_stability () =
   Engine.run ~until:(Time.sec 1) eng;
   Alcotest.(check bool) "completed" true !done_
 
-let test_msglayer_disable_releases_waiters () =
+(* {2 Keyed output-commit waits}
+
+   An ack must resume exactly the waiters it makes stable, in the order they
+   parked — never the whole parked set.  Each resumption is one engine
+   event, so the [engine.events_fired] delta of an ack, minus the constant
+   cost of carrying the ack itself, counts the waiters it woke. *)
+
+let events_fired eng =
+  Metrics.Counter.value
+    (Metrics.Registry.counter (Engine.metrics eng) "engine.events_fired")
+
+let send_ack inb ~upto =
+  let msg = Wire.Ack { upto; chans = [] } in
+  Mailbox.send inb ~bytes:(Wire.message_bytes msg) msg
+
+(* Run [f] from the driver, let the instant settle, and return how many
+   events fired beyond the driver's own settling sleep (its timer, then its
+   resumption). *)
+let events_of eng f =
+  let e0 = events_fired eng in
+  f ();
+  Engine.sleep (Time.ms 1);
+  events_fired eng - e0 - 2
+
+let record () =
+  Wire.Syscall_result { ft_pid = 0; sseq = 0; result = Wire.R_accept 0 }
+
+let test_msglayer_ack_resumes_only_stable () =
   let eng = Engine.create () in
-  let released = ref false in
+  let checked = ref false in
   ignore
     (Engine.spawn eng (fun () ->
          let a, b = two_parts eng in
@@ -846,19 +873,188 @@ let test_msglayer_disable_releases_waiters () =
            Msglayer.create_primary eng ~out:duplex.Mailbox.a_to_b
              ~inb:duplex.Mailbox.b_to_a
          in
-         (* No secondary: the wait can only be released by [disable]. *)
-         let lsn =
-           Msglayer.append ml_p
-             (Wire.Syscall_result { ft_pid = 0; sseq = 0; result = Wire.R_accept 0 })
-         in
-         ignore
-           (Engine.spawn eng (fun () ->
-                Engine.sleep (Time.ms 5);
-                Msglayer.disable ml_p));
-         Msglayer.wait_stable ml_p ~lsn;
-         released := true));
+         Msglayer.spawn_primary_rx ml_p (fun n f -> Engine.spawn eng ~name:n f);
+         for _ = 0 to 9 do
+           ignore (Msglayer.append ml_p (record ()))
+         done;
+         (* Park order deliberately disagrees with LSN order. *)
+         let resumed = ref [] in
+         List.iter
+           (fun lsn ->
+             ignore
+               (Engine.spawn eng (fun () ->
+                    Msglayer.wait_stable ml_p ~lsn;
+                    resumed := lsn :: !resumed));
+             Engine.sleep (Time.us 1))
+           [ 7; 3; 9; 1; 5; 8; 2 ];
+         let inb = duplex.Mailbox.b_to_a in
+         (* An ack below every parked LSN costs only its own delivery. *)
+         let carry = events_of eng (fun () -> send_ack inb ~upto:0) in
+         Alcotest.(check (list int)) "nothing stable yet" [] !resumed;
+         let woke = events_of eng (fun () -> send_ack inb ~upto:5) in
+         Alcotest.(check int) "ack at 5 wakes exactly four" 4 (woke - carry);
+         Alcotest.(check (list int)) "LSNs <= 5, in park order" [ 3; 1; 5; 2 ]
+           (List.rev !resumed);
+         resumed := [];
+         let woke = events_of eng (fun () -> send_ack inb ~upto:8) in
+         Alcotest.(check int) "ack at 8 wakes exactly two" 2 (woke - carry);
+         Alcotest.(check (list int)) "then 7 and 8" [ 7; 8 ] (List.rev !resumed);
+         checked := true));
   Engine.run ~until:(Time.sec 1) eng;
-  Alcotest.(check bool) "waiter released on disable" true !released
+  Alcotest.(check bool) "completed" true !checked
+
+(* No secondary: the waits can only be released by [disable], which
+   releases every one of them, in the order they parked. *)
+let test_msglayer_disable_releases_waiters () =
+  let eng = Engine.create () in
+  let resumed = ref [] in
+  ignore
+    (Engine.spawn eng (fun () ->
+         let a, b = two_parts eng in
+         let duplex = Mailbox.duplex eng ~a ~b () in
+         let ml_p =
+           Msglayer.create_primary eng ~out:duplex.Mailbox.a_to_b
+             ~inb:duplex.Mailbox.b_to_a
+         in
+         for _ = 0 to 9 do
+           ignore (Msglayer.append ml_p (record ()))
+         done;
+         List.iter
+           (fun lsn ->
+             ignore
+               (Engine.spawn eng (fun () ->
+                    Msglayer.wait_stable ml_p ~lsn;
+                    resumed := lsn :: !resumed));
+             Engine.sleep (Time.us 1))
+           [ 6; 0; 9; 4 ];
+         Msglayer.disable ml_p));
+  Engine.run ~until:(Time.sec 1) eng;
+  Alcotest.(check (list int)) "every waiter, in park order" [ 6; 0; 9; 4 ]
+    (List.rev !resumed)
+
+(* Quorum 2 of 3: a waiter needs two members' acks; disabling a member
+   shrinks the quorum only once fewer than two members are live. *)
+let test_msglayer_group_quorum_with_dead_member () =
+  let eng = Engine.create () in
+  let checked = ref false in
+  ignore
+    (Engine.spawn eng (fun () ->
+         let a, b = two_parts eng in
+         let members, inbs =
+           List.split
+             (List.init 3 (fun _ ->
+                  let d = Mailbox.duplex eng ~a ~b () in
+                  let p =
+                    Msglayer.create_primary eng ~out:d.Mailbox.a_to_b
+                      ~inb:d.Mailbox.b_to_a
+                  in
+                  Msglayer.spawn_primary_rx p (fun n f ->
+                      Engine.spawn eng ~name:n f);
+                  (p, d.Mailbox.b_to_a)))
+         in
+         let g = Msglayer.create_group members ~quorum:2 in
+         let sink = Msglayer.sink_of_group g in
+         let inb = Array.of_list inbs in
+         for _ = 0 to 4 do
+           ignore (sink.Msglayer.sink_append (record ()))
+         done;
+         let stable = Array.make 2 false in
+         let waiter i lsn =
+           ignore
+             (Engine.spawn eng (fun () ->
+                  sink.Msglayer.sink_wait_stable ~lsn;
+                  stable.(i) <- true))
+         in
+         waiter 0 2;
+         waiter 1 4;
+         Engine.sleep (Time.us 1);
+         Msglayer.group_disable g 2;
+         Engine.sleep (Time.ms 1);
+         Alcotest.(check bool) "two live members: quorum still 2" false stable.(0);
+         send_ack inb.(0) ~upto:4;
+         Engine.sleep (Time.ms 1);
+         Alcotest.(check bool) "one ack of two" false stable.(0);
+         send_ack inb.(1) ~upto:2;
+         Engine.sleep (Time.ms 1);
+         Alcotest.(check bool) "second ack completes the quorum" true stable.(0);
+         Alcotest.(check bool) "LSN 4 has one ack" false stable.(1);
+         Msglayer.group_disable g 1;
+         Engine.sleep (Time.ms 1);
+         Alcotest.(check bool) "one live member: its ack suffices" true
+           stable.(1);
+         checked := true));
+  Engine.run ~until:(Time.sec 1) eng;
+  Alcotest.(check bool) "completed" true !checked
+
+(* {2 Keyed replay gate}
+
+   A backup thread parks on the one event that can make its head tuple
+   runnable: its own delivery when its queue is empty, otherwise the
+   consume that brings the first blocking channel to the tuple's
+   chan_seq. *)
+
+let test_det_gate_wakes_only_released () =
+  let eng = Engine.create () in
+  let det = Det.create_secondary eng in
+  let ran = ref [] in
+  let thread ft_pid =
+    ignore
+      (Engine.spawn eng (fun () ->
+           Det.register_thread det ~ft_pid;
+           Det.det_start det ~chans:[];
+           ran := ft_pid :: !ran;
+           Det.det_end det))
+  in
+  let deliver ft_pid chans =
+    Det.deliver_tuple det ~ft_pid ~thread_seq:0 ~chans ~payload:Wire.P_plain
+  in
+  let checked = ref false in
+  ignore
+    (Engine.spawn eng (fun () ->
+         List.iter thread [ 0; 1; 2 ];
+         Engine.sleep (Time.us 1);
+         (* Thread 1's delivery wakes thread 1 alone; its tuple then waits
+            on channel 5 reaching 1. *)
+         Alcotest.(check int) "own delivery only" 1
+           (events_of eng (fun () -> deliver 1 [ (5, 1) ]));
+         Alcotest.(check int) "own delivery only" 1
+           (events_of eng (fun () -> deliver 2 [ (5, 2) ]));
+         Alcotest.(check (list int)) "both still gated" [] !ran;
+         (* Thread 0 consumes (5,0), releasing thread 1 only; thread 1's
+            consume then releases thread 2: three resumptions, no
+            spurious wake of thread 2 at chan_seq 1. *)
+         Alcotest.(check int) "each waiter woken once" 3
+           (events_of eng (fun () -> deliver 0 [ (5, 0) ]));
+         Alcotest.(check (list int)) "channel order" [ 0; 1; 2 ] (List.rev !ran);
+         checked := true));
+  Engine.run ~until:(Time.sec 1) eng;
+  Alcotest.(check bool) "completed" true !checked
+
+let test_det_go_live_releases_all () =
+  let eng = Engine.create () in
+  let det = Det.create_secondary eng in
+  let ran = ref [] in
+  List.iter
+    (fun ft_pid ->
+      ignore
+        (Engine.spawn eng (fun () ->
+             Det.register_thread det ~ft_pid;
+             Det.det_start det ~chans:[];
+             ran := ft_pid :: !ran;
+             Det.det_end det)))
+    [ 0; 1 ];
+  ignore
+    (Engine.spawn eng (fun () ->
+         Engine.sleep (Time.us 1);
+         (* Thread 1 gated on a channel that will never advance, thread 0
+            on an empty queue: going live opens both, in park order. *)
+         Det.deliver_tuple det ~ft_pid:1 ~thread_seq:0 ~chans:[ (9, 3) ]
+           ~payload:Wire.P_plain;
+         Engine.sleep (Time.us 1);
+         Det.go_live det));
+  Engine.run ~until:(Time.sec 1) eng;
+  Alcotest.(check (list int)) "both released, park order" [ 0; 1 ]
+    (List.rev !ran)
 
 let test_msglayer_backpressure () =
   let eng = Engine.create () in
@@ -1564,6 +1760,10 @@ let () =
             test_gettimeofday_synchronized;
           Alcotest.test_case "timedwait outcome replicated" `Quick
             test_cond_timedwait_outcome_replicated;
+          Alcotest.test_case "gate wakes only released" `Quick
+            test_det_gate_wakes_only_released;
+          Alcotest.test_case "go_live releases all" `Quick
+            test_det_go_live_releases_all;
         ] );
       ( "tcp-replication",
         [
@@ -1649,6 +1849,10 @@ let () =
           Alcotest.test_case "stability" `Quick test_msglayer_stability;
           Alcotest.test_case "disable releases waiters" `Quick
             test_msglayer_disable_releases_waiters;
+          Alcotest.test_case "ack resumes only stable waiters" `Quick
+            test_msglayer_ack_resumes_only_stable;
+          Alcotest.test_case "group quorum with dead member" `Quick
+            test_msglayer_group_quorum_with_dead_member;
           Alcotest.test_case "backpressure" `Quick test_msglayer_backpressure;
           Alcotest.test_case "parallel executors" `Quick
             test_msglayer_parallel_executors;

@@ -113,6 +113,68 @@ let test_reprotect_cycle () =
       ]);
   check_clean cluster
 
+(* {1 Host cost after the switch: no output-commit wake-up herd}
+
+   After the switch the regenerated backup replays slower than the
+   survivor serves, so hundreds of output commits stay parked at once.
+   An ack must resume only the waiters it makes stable: the engine work
+   per request served after the switch then stays at what the request path
+   itself costs (a broadcast to every parked commit costs about 8x that
+   here). *)
+
+let test_post_switch_events_bounded () =
+  let eng = Engine.create () in
+  let link = gbit_link eng in
+  let app api =
+    Ftsim_apps.Mongoose.run
+      ~params:
+        {
+          Ftsim_apps.Mongoose.default_params with
+          Ftsim_apps.Mongoose.page_bytes = 10 * 1024;
+          cpu_per_request = Time.us 200;
+        }
+      api
+  in
+  let cluster =
+    Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link) ~app ()
+  in
+  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
+  let ab =
+    Ftsim_apps.Loadgen.ab_start client ~server:"10.0.0.1" ~port:80 ~target:"/"
+      ~concurrency:8 ()
+  in
+  let completed () =
+    Metrics.Counter.value (Ftsim_apps.Loadgen.ab_stats ab).Ftsim_apps.Loadgen.completed
+  in
+  let events () =
+    Metrics.Counter.value
+      (Metrics.Registry.counter (Engine.metrics eng) "engine.events_fired")
+  in
+  let switched = ref None in
+  Cluster.on_transition cluster (fun tr ->
+      if tr.Cluster.tr_from = Cluster.Regenerating && tr.Cluster.tr_to = Cluster.Protected
+      then switched := Some tr.Cluster.tr_at);
+  Cluster.kill cluster ~role:Replica_set.Primary ~at:(Time.ms 300);
+  let rec until_switch () =
+    if !switched = None && Engine.now eng < Time.sec 5 then begin
+      Engine.run ~until:(Engine.now eng + Time.ms 5) eng;
+      until_switch ()
+    end
+  in
+  until_switch ();
+  Alcotest.(check bool) "re-protected" true (!switched <> None);
+  let e0 = events () and c0 = completed () in
+  Engine.run ~until:(Engine.now eng + Time.ms 400) eng;
+  let served = completed () - c0 and fired = events () - e0 in
+  Ftsim_apps.Loadgen.ab_stop ab;
+  Cluster.shutdown cluster;
+  Alcotest.(check bool) "requests served after the switch" true (served > 100);
+  let per_req = fired / served in
+  if per_req > 600 then
+    Alcotest.failf "%d engine events per request after the switch (%d / %d)"
+      per_req fired served;
+  check_clean cluster
+
 (* {1 Epoch-switch boundary: gapless cursor handoff} *)
 
 let test_epoch_switch_boundary () =
@@ -320,6 +382,8 @@ let () =
           Alcotest.test_case "full cycle" `Quick test_reprotect_cycle;
           Alcotest.test_case "replica-set surface" `Quick
             test_replica_set_surface;
+          Alcotest.test_case "post-switch events bounded" `Quick
+            test_post_switch_events_bounded;
           Alcotest.test_case "lagmon retired on switch" `Quick
             test_lagmon_retired_on_switch;
         ] );

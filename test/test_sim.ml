@@ -284,67 +284,22 @@ let test_mutex_fifo () =
   in
   Alcotest.(check (list int)) "FIFO hand-off" [ 1; 2; 3; 4 ] order
 
-let test_cond_signal_wakes_one () =
+let test_timed_wait_cancel_consumes_no_signal () =
+  (* A timed-out waiter must not eat a later wake meant for a live one. *)
   let v =
     run_sim (fun eng ->
-        let m = Sync.Mutex.create () in
-        let c = Sync.Cond.create () in
-        let woken = ref 0 in
-        for _ = 1 to 3 do
-          ignore
-            (Engine.spawn eng (fun () ->
-                 Sync.Mutex.lock m;
-                 Sync.Cond.wait c m;
-                 incr woken;
-                 Sync.Mutex.unlock m))
-        done;
-        Engine.sleep (Time.ms 1);
-        Sync.Cond.signal c;
-        Engine.sleep (Time.ms 1);
-        let after_one = !woken in
-        Sync.Cond.broadcast c;
-        Engine.sleep (Time.ms 1);
-        (after_one, !woken))
-  in
-  Alcotest.(check (pair int int)) "signal then broadcast" (1, 3) v
-
-let test_cond_timedwait_timeout () =
-  let v =
-    run_sim (fun eng ->
-        let m = Sync.Mutex.create () in
-        let c = Sync.Cond.create () in
-        Sync.Mutex.lock m;
-        let r = Sync.Cond.timed_wait c m ~deadline:(Engine.now eng + Time.ms 5) in
-        let held = Sync.Mutex.is_locked m in
-        Sync.Mutex.unlock m;
-        (r, held, Engine.now eng))
-  in
-  match v with
-  | `Timeout, true, t -> Alcotest.(check int) "woke at deadline" (Time.ms 5) t
-  | `Woken, _, _ -> Alcotest.fail "expected timeout"
-  | `Timeout, false, _ -> Alcotest.fail "mutex not re-acquired"
-
-let test_cond_timedwait_cancel_consumes_no_signal () =
-  (* A timed-out waiter must not eat a later signal meant for a live one. *)
-  let v =
-    run_sim (fun eng ->
-        let m = Sync.Mutex.create () in
-        let c = Sync.Cond.create () in
+        let q = Waitq.create () in
         let live_woken = ref false in
         ignore
           (Engine.spawn eng (fun () ->
-               Sync.Mutex.lock m;
-               let r = Sync.Cond.timed_wait c m ~deadline:(Time.ms 2) in
-               assert (r = `Timeout);
-               Sync.Mutex.unlock m));
+               let r = Sync.wait_on ~deadline:(Time.ms 2) q in
+               assert (r = `Timeout)));
         ignore
           (Engine.spawn eng (fun () ->
-               Sync.Mutex.lock m;
-               Sync.Cond.wait c m;
-               live_woken := true;
-               Sync.Mutex.unlock m));
+               ignore (Sync.wait_on q);
+               live_woken := true));
         Engine.sleep (Time.ms 5);
-        Sync.Cond.signal c;
+        ignore (Waitq.wake_one q);
         Engine.sleep (Time.ms 1);
         !live_woken)
   in
@@ -1302,10 +1257,8 @@ let () =
         [
           Alcotest.test_case "mutex exclusion" `Quick test_mutex_mutual_exclusion;
           Alcotest.test_case "mutex FIFO" `Quick test_mutex_fifo;
-          Alcotest.test_case "cond signal/broadcast" `Quick test_cond_signal_wakes_one;
-          Alcotest.test_case "cond timedwait timeout" `Quick test_cond_timedwait_timeout;
           Alcotest.test_case "timed-out waiter eats no signal" `Quick
-            test_cond_timedwait_cancel_consumes_no_signal;
+            test_timed_wait_cancel_consumes_no_signal;
           Alcotest.test_case "semaphore bounds" `Quick test_semaphore_bounds;
         ] );
       ( "bqueue",
