@@ -70,9 +70,17 @@ let dump_bench name =
   output_string oc "\n]\n";
   close_out oc
 
+(* Host cost of one experiment, informational: wall seconds and the process's
+   peak major heap so far.  Printed to stdout only, never into BENCH_*.json,
+   so same-seed dumps stay byte-identical. *)
 let run_experiment name f quick =
   engines := [];
+  let wall0 = Unix.gettimeofday () in
   f quick;
+  let wall = Unix.gettimeofday () -. wall0 in
+  let top_words = (Gc.quick_stat ()).Gc.top_heap_words in
+  Printf.printf "[host] %s: %.2f s wall, peak heap %.1f MiB\n%!" name wall
+    (float_of_int (top_words * (Sys.word_size / 8)) /. 1048576.0);
   dump_bench name;
   dump_trace name
 
@@ -726,8 +734,11 @@ let ablations _quick =
 
 let micro _quick =
   hr "Microbenchmarks: simulator primitives (host wall-clock, Bechamel OLS)";
+  (* A small trace ring: the default one (2^20 slots, 8 MiB) is allocated
+     per engine and would dominate every run below. *)
+  let engine () = Engine.create ~evlog_cap:64 () in
   let bench_engine_events () =
-    let eng = Engine.create () in
+    let eng = engine () in
     for _ = 1 to 100 do
       ignore
         (Engine.spawn eng (fun () ->
@@ -738,7 +749,7 @@ let micro _quick =
     Engine.run eng
   in
   let bench_mailbox () =
-    let eng = Engine.create () in
+    let eng = engine () in
     let m = Machine.create eng Topology.small in
     let a, b = Machine.split_symmetric m in
     let ch = Mailbox.create eng ~src:a ~dst:b () in
@@ -755,7 +766,7 @@ let micro _quick =
     Engine.run eng
   in
   let bench_pthread () =
-    let eng = Engine.create () in
+    let eng = engine () in
     let m = Machine.create eng Topology.small in
     let a, _ = Machine.split_symmetric m in
     let k = Kernel.boot a () in

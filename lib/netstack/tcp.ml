@@ -50,7 +50,7 @@ type conn = {
   writable : Waitq.t;
   send_wake : Waitq.t;
   mutable aborted : bool;
-  (* cancellable timers (engine wheel); None = disarmed *)
+  (* cancellable engine timers; None = disarmed *)
   mutable rto_timer : Engine.handle option;
   mutable syn_timer : Engine.handle option;
   mutable tw_timer : Engine.handle option;
@@ -246,7 +246,7 @@ let rec sender_loop c =
 
 (* Retransmission timer: if no ACK progress happened during an RTO while
    data (or a FIN) was outstanding, rewind to [snd_una] and resend
-   (go-back-N).  The timer is a cancellable engine-wheel entry armed when
+   (go-back-N).  The timer is a cancellable engine timer armed when
    something first reaches the wire and cancelled as soon as everything is
    acknowledged, so idle connections hold no pending events at all. *)
 (* Judged against the transmit high-water mark, not [snd_nxt]: an RTO

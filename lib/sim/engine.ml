@@ -2,16 +2,18 @@ type exit_reason = Normal | Killed | Exn of exn
 
 exception Killed_exn
 
-(* Two event sources share one [(at, seq)] key space: the heap (one-shot
-   [schedule] closures, process wake-ups) and the timer wheel (cancellable
-   timers).  [run] always fires the globally smallest [(at, seq)] next, so
-   adding the wheel changes nothing about event order — only about what
-   [cancel] costs and whether dead timers linger. *)
+(* One event queue: one-shot [schedule] closures, process wake-ups and
+   cancellable timers all sit in a single heap keyed by [(at, seq)], and
+   [run] pops its minimum.  Cancelling a timer only marks its cell: the
+   tombstone stays in the heap until it reaches the top (where [run] drops it
+   without firing, counting or moving the clock) or until tombstones make up
+   more than half the heap, when [cancel] sweeps them all out at once.  Keys
+   are unique, so neither changes the order in which live events fire. *)
 type t = {
   mutable now : Time.t;
-  events : (unit -> unit) Heap.t;
-  timers : (unit -> unit) Twheel.t;
+  events : ev Heap.t;
   mutable seq : int;
+  mutable dead : int;  (** cancelled timers still in [events] *)
   mutable current : proc option;
   mutable live : int;
   mutable next_pid : int;
@@ -25,6 +27,16 @@ type t = {
   c_timers_fired : Metrics.Counter.t;
   c_spawned : Metrics.Counter.t;
 }
+
+and ev =
+  | Once of (unit -> unit)
+  | Timer of {
+      t_eng : t;
+      t_fn : unit -> unit;
+      mutable t_st : timer_state;
+    }
+
+and timer_state = Armed | Fired | Cancelled
 
 and proc = {
   pid : int;
@@ -59,8 +71,8 @@ let create ?(seed = 42) ?evlog_cap () =
     {
       now = 0;
       events = Heap.create ();
-      timers = Twheel.create ();
       seq = 0;
+      dead = 0;
       current = None;
       live = 0;
       next_pid = 0;
@@ -83,7 +95,7 @@ let now t = t.now
 let prng t = t.root_prng
 let metrics t = t.registry
 let evlog t = t.evlog
-let pending_events t = Heap.length t.events + Twheel.live t.timers
+let pending_events t = Heap.length t.events - t.dead
 let live_procs t = t.live
 let stop t = t.stopping <- true
 let pid p = p.pid
@@ -93,26 +105,40 @@ let engine_of_proc p = p.eng
 let schedule t ~at f =
   if at < t.now then invalid_arg "Engine.schedule: time in the past";
   t.seq <- t.seq + 1;
-  Heap.push t.events ~prio:at ~seq:t.seq f
+  Heap.push t.events ~prio:at ~seq:t.seq (Once f)
 
-type handle = { h_eng : t; h_timer : (unit -> unit) Twheel.handle }
+(* Always a [Timer]. *)
+type handle = ev
 
 let timer t ~at f =
   if at < t.now then invalid_arg "Engine.timer: time in the past";
-  (* The wheel's clock normally tracks [t.now] (the run loop syncs it before
-     firing anything); outside [run] it may lag, so catch up before filing. *)
-  Twheel.advance t.timers ~upto:t.now;
   t.seq <- t.seq + 1;
   Metrics.Counter.incr t.c_timers_armed;
-  { h_eng = t; h_timer = Twheel.add t.timers ~at ~seq:t.seq f }
+  let h = Timer { t_eng = t; t_fn = f; t_st = Armed } in
+  Heap.push t.events ~prio:at ~seq:t.seq h;
+  h
+
+let sweep t =
+  Heap.filter_inplace t.events (function
+    | Timer { t_st = Cancelled; _ } -> false
+    | Timer _ | Once _ -> true);
+  t.dead <- 0
 
 let cancel h =
-  if Twheel.is_armed h.h_timer then begin
-    Twheel.cancel h.h_timer;
-    Metrics.Counter.incr h.h_eng.c_timers_cancelled
-  end
+  match h with
+  | Timer r -> (
+      match r.t_st with
+      | Armed ->
+          r.t_st <- Cancelled;
+          let t = r.t_eng in
+          Metrics.Counter.incr t.c_timers_cancelled;
+          t.dead <- t.dead + 1;
+          if 2 * t.dead > Heap.length t.events then sweep t
+      | Fired | Cancelled -> ())
+  | Once _ -> ()
 
-let timer_armed h = Twheel.is_armed h.h_timer
+let timer_armed h =
+  match h with Timer { t_st = Armed; _ } -> true | Timer _ | Once _ -> false
 
 let finish p reason =
   (match p.state with Exited _ -> assert false | _ -> ());
@@ -214,64 +240,29 @@ let spawn t ?(name = "proc") ?at f =
 
 let run ?until t =
   t.stopping <- false;
-  let fire_heap () =
-    match Heap.pop t.events with
-    | Some (at, _, f) ->
-        t.now <- max t.now at;
-        Metrics.Counter.incr t.c_events;
-        f ()
-    | None -> assert false
-  in
-  let fire_timer () =
-    match Twheel.pop_due t.timers with
-    | Some (at, f) ->
-        t.now <- max t.now at;
-        Metrics.Counter.incr t.c_events;
-        Metrics.Counter.incr t.c_timers_fired;
-        if Evlog.detail t.evlog then
-          Evlog.emit t.evlog ~comp:"sim.engine" "timer.fire";
-        f ()
-    | None -> assert false
-  in
+  let until = match until with Some u -> u | None -> max_int in
   let rec loop () =
-    if t.stopping then ()
-    else begin
-      let heap_at = match Heap.peek t.events with
-        | Some (at, _, _) -> Some at
-        | None -> None
-      in
-      let next_at =
-        match (heap_at, Twheel.next_event t.timers) with
-        | None, None -> None
-        | Some a, None | None, Some a -> Some a
-        | Some a, Some w -> Some (min a w)
-      in
-      match next_at with
-      | None -> ()
-      | Some at when (match until with Some u -> at > u | None -> false) ->
-          (match until with
-          | Some u ->
-              t.now <- max t.now u;
-              Twheel.advance t.timers ~upto:t.now
-          | None -> ())
-      | Some at ->
-          (* Let the wheel cascade up to this instant so its due queue holds
-             every timer expiring now; then fire the single globally smallest
-             [(at, seq)] event across both sources.  An instant that was only
-             a cascade step fires nothing and does not move [t.now] — and the
-             heap must not fire either while an earlier timer is still
-             sifting down the wheel. *)
-          Twheel.advance t.timers ~upto:at;
-          (match (Heap.peek t.events, Twheel.peek_due t.timers) with
-          | None, None -> ()
-          | None, Some _ -> fire_timer ()
-          | Some (ha, hs, _), Some (ta, ts) ->
-              if (ta, ts) < (ha, hs) then fire_timer () else fire_heap ()
-          | Some (ha, _, _), None -> (
-              match Twheel.next_event t.timers with
-              | Some w when w <= ha -> () (* keep cascading; loop retries *)
-              | _ -> fire_heap ()));
-          loop ()
+    (* Tombstones alone do not keep the loop going or move the clock. *)
+    if (not t.stopping) && pending_events t > 0 then begin
+      let at = Heap.min_prio t.events in
+      if at > until then t.now <- max t.now until
+      else begin
+        (match Heap.take t.events with
+        | Timer { t_st = Cancelled; _ } -> t.dead <- t.dead - 1
+        | Timer r ->
+            r.t_st <- Fired;
+            t.now <- max t.now at;
+            Metrics.Counter.incr t.c_events;
+            Metrics.Counter.incr t.c_timers_fired;
+            if Evlog.detail t.evlog then
+              Evlog.emit t.evlog ~comp:"sim.engine" "timer.fire";
+            r.t_fn ()
+        | Once f ->
+            t.now <- max t.now at;
+            Metrics.Counter.incr t.c_events;
+            f ());
+        loop ()
+      end
     end
   in
   loop ()
@@ -283,7 +274,7 @@ let suspend register = Effect.perform (E_suspend register)
 (* Park on a cancellable timer.  If the wake-up never happens because the
    process dies first ([kill], partition halt), the [Killed_exn] unwinding
    through this frame cancels the timer, so no dead event lingers in the
-   wheel until its deadline. *)
+   queue until its deadline. *)
 let sleep_until at =
   let h = ref None in
   try

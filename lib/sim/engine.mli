@@ -5,12 +5,15 @@
     until it suspends ({!sleep}, {!suspend}, {!yield} or a primitive built on
     them); the engine then advances the clock to the next pending event.
 
+    Every pending event — a {!schedule}d callback, a process wake-up or a
+    cancellable {!timer} — waits in one binary heap keyed by
+    [(time, seq)], where [seq] counts arming order; {!run} pops the minimum.
     A run is fully deterministic: events with equal timestamps fire in the
     order they were scheduled, and all randomness flows through the engine's
     seeded {!Prng}. *)
 
 type t
-(** A simulation world: clock, event queue, timer wheel, process table. *)
+(** A simulation world: clock, event queue, process table. *)
 
 type handle
 (** A cancellable timer armed with {!timer} (or indirectly via {!sleep} /
@@ -59,12 +62,15 @@ val spawn : t -> ?name:string -> ?at:Time.t -> (unit -> unit) -> proc
 
 val run : ?until:Time.t -> t -> unit
 (** Run events until the queue empties, [until] is passed, or {!stop}.
-    Returns with the clock at the last fired event (or at [until]). *)
+    Returns with the clock at the last fired event (or at [until]): an event
+    due after [until] never fires and the clock never passes [until]. *)
 
 val stop : t -> unit
 (** Ask the main loop to return after the event currently firing. *)
 
 val pending_events : t -> int
+(** Events still to fire: scheduled callbacks and armed timers.  Cancelled
+    timers are not counted. *)
 
 val live_procs : t -> int
 (** Number of processes spawned and not yet exited.  If [run] returns with
@@ -139,18 +145,22 @@ val schedule : t -> at:Time.t -> (unit -> unit) -> unit
 
 (** {1 Cancellable timers}
 
-    Timers live in a hierarchical timer wheel (see {!Twheel}): O(1) arm and
-    cancel, and a cancelled timer's callback is guaranteed never to run.
-    Timers and heap events share one [(time, seq)] key space, so
-    introducing a timer does not perturb the deterministic event order. *)
+    A timer is a cell in the engine's event heap, under the same
+    [(time, seq)] key as {!schedule}d events, so introducing a timer does not
+    perturb the deterministic event order.  Arming is O(log n).  {!cancel}
+    only marks the cell, in O(1) amortised, and its callback is guaranteed
+    never to run: {!run} discards the dead cell when it reaches the top of
+    the heap, without counting it or moving the clock.  Once cancelled cells
+    outnumber the live entries they are swept out together, so the heap
+    stays within twice the peak number of pending events. *)
 
 val timer : t -> at:Time.t -> (unit -> unit) -> handle
 (** Arm [f] to run as a raw callback (it must not suspend) at time [at].
     [at] must not be in the past. *)
 
 val cancel : handle -> unit
-(** O(1).  Idempotent; a no-op once the timer has fired.  After [cancel]
-    returns the callback will never run. *)
+(** Idempotent; a no-op once the timer has fired.  After [cancel] returns
+    the callback will never run. *)
 
 val timer_armed : handle -> bool
 (** True while the timer is armed: not yet fired and not cancelled. *)

@@ -623,8 +623,8 @@ let test_timer_heap_interleave () =
     (List.rev !log)
 
 let test_timer_overflow_horizon () =
-  (* A deadline beyond the wheel's 32^10 ns horizon parks in the overflow
-     list and still fires, after nearer timers. *)
+  (* A deadline months of simulated time out still fires, after nearer
+     timers, and the clock lands on it. *)
   let eng = Engine.create () in
   let log = ref [] in
   let far = Time.sec 20_000_000 in
@@ -690,28 +690,251 @@ let test_with_timeout_done_cancels_timer () =
   Alcotest.(check int) "deadline timer cancelled" 0 (Engine.pending_events eng);
   Alcotest.(check int) "did not run to the deadline" (Time.ms 2) (Engine.now eng)
 
-let test_twheel_cancel_after_fire () =
+let counter eng name =
+  Metrics.Counter.value (Metrics.Registry.counter (Engine.metrics eng) name)
+
+let test_timer_handle_after_fire () =
   (* Cancelling a timer that already fired must be a no-op: no state change,
-     no double decrement of the live count, no effect on later timers. *)
-  let w = Twheel.create () in
-  let h = Twheel.add w ~at:(Time.ms 1) ~seq:0 "a" in
-  ignore (Twheel.add w ~at:(Time.ms 2) ~seq:1 "b");
-  Twheel.advance w ~upto:(Time.ms 1);
-  (match Twheel.pop_due w with
-  | Some (_, "a") -> ()
-  | _ -> Alcotest.fail "expected a due");
-  Alcotest.(check bool) "fired handle is not armed" false (Twheel.is_armed h);
-  Alcotest.(check int) "one live timer left" 1 (Twheel.live w);
-  Twheel.cancel h;
-  Twheel.cancel h;
-  Alcotest.(check int) "cancel-after-fire does not touch live" 1 (Twheel.live w);
-  Alcotest.(check bool) "still not armed" false (Twheel.is_armed h);
-  Twheel.advance w ~upto:(Time.ms 2);
-  (match Twheel.pop_due w with
-  | Some (_, "b") -> ()
-  | _ -> Alcotest.fail "expected b due");
-  Alcotest.(check int) "none live" 0 (Twheel.live w);
-  Alcotest.(check bool) "due queue empty" true (Twheel.pop_due w = None)
+     no second decrement of the pending count, no effect on later timers. *)
+  let eng = Engine.create () in
+  let log = ref [] in
+  let h = Engine.timer eng ~at:(Time.ms 1) (fun () -> log := "a" :: !log) in
+  ignore (Engine.timer eng ~at:(Time.ms 2) (fun () -> log := "b" :: !log));
+  Engine.run ~until:(Time.ms 1) eng;
+  Alcotest.(check (list string)) "a fired" [ "a" ] !log;
+  Alcotest.(check bool) "fired handle is not armed" false (Engine.timer_armed h);
+  Alcotest.(check int) "one timer pending" 1 (Engine.pending_events eng);
+  Engine.cancel h;
+  Engine.cancel h;
+  Alcotest.(check int) "cancel-after-fire does not touch pending" 1
+    (Engine.pending_events eng);
+  Alcotest.(check bool) "still not armed" false (Engine.timer_armed h);
+  Engine.run eng;
+  Alcotest.(check (list string)) "b fired after" [ "b"; "a" ] !log;
+  Alcotest.(check int) "none pending" 0 (Engine.pending_events eng)
+
+let test_timer_double_cancel () =
+  (* A second cancel of an armed-then-cancelled timer changes nothing: the
+     cancellation is counted once and the pending count drops once. *)
+  let eng = Engine.create () in
+  let fired = ref 0 in
+  let h = Engine.timer eng ~at:(Time.ms 1) (fun () -> incr fired) in
+  ignore (Engine.timer eng ~at:(Time.ms 2) (fun () -> incr fired));
+  ignore (Engine.timer eng ~at:(Time.ms 3) (fun () -> incr fired));
+  Alcotest.(check bool) "armed" true (Engine.timer_armed h);
+  Engine.cancel h;
+  Engine.cancel h;
+  Alcotest.(check bool) "not armed" false (Engine.timer_armed h);
+  Alcotest.(check int) "two pending" 2 (Engine.pending_events eng);
+  Alcotest.(check int) "counted once" 1
+    (counter eng "engine.timers_cancelled");
+  Engine.run eng;
+  Alcotest.(check int) "the other two fired" 2 !fired;
+  Alcotest.(check int) "events fired" 2
+    (counter eng "engine.events_fired")
+
+let test_run_until_no_overshoot () =
+  (* Regression: a one-shot event due after [until] must not fire, and the
+     clock must stop at [until], even with a timer armed further out. *)
+  let eng = Engine.create () in
+  let fired = ref false in
+  ignore (Engine.timer eng ~at:(Time.us 100) ignore);
+  Engine.schedule eng ~at:(Time.us 99) (fun () -> fired := true);
+  Engine.run ~until:(Time.ns 98_500) eng;
+  Alcotest.(check int) "clock parked at until" (Time.ns 98_500) (Engine.now eng);
+  Alcotest.(check bool) "later event not fired" false !fired;
+  Alcotest.(check int) "both still pending" 2 (Engine.pending_events eng)
+
+let test_run_until_ignores_tombstones () =
+  (* A cancelled timer still queued past [until] is nothing to wait for:
+     with no live event left, [run] returns with the clock at the last fired
+     event, as on an empty queue. *)
+  let eng = Engine.create () in
+  ignore (Engine.timer eng ~at:(Time.ms 1) ignore);
+  ignore (Engine.timer eng ~at:(Time.ms 2) ignore);
+  Engine.cancel (Engine.timer eng ~at:(Time.ms 10) ignore);
+  Engine.run ~until:(Time.ms 5) eng;
+  Alcotest.(check int) "clock at the last fired event" (Time.ms 2)
+    (Engine.now eng);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending_events eng);
+  (* Tombstones that reach the top are dropped without being counted. *)
+  let eng = Engine.create () in
+  let hs = List.init 2 (fun i -> Engine.timer eng ~at:(Time.ms (10 + i)) ignore) in
+  List.iter (fun i -> ignore (Engine.timer eng ~at:(Time.ms i) ignore)) [ 1; 20; 21; 22 ];
+  List.iter Engine.cancel hs;
+  Engine.run ~until:(Time.ms 15) eng;
+  Alcotest.(check int) "parked at until" (Time.ms 15) (Engine.now eng);
+  Alcotest.(check int) "three live events left" 3 (Engine.pending_events eng);
+  Engine.run eng;
+  Alcotest.(check int) "fired count excludes tombstones" 4
+    (counter eng "engine.events_fired");
+  Alcotest.(check int) "timers fired" 4 (counter eng "engine.timers_fired")
+
+let test_timer_sweep () =
+  (* Cancel 10k long timers one by one among 5k survivors: the sweep that
+     bounds the heap (it runs once tombstones outnumber live entries) must
+     not disturb the survivors' order. *)
+  let eng = Engine.create () in
+  let log = ref [] in
+  let doomed = ref [] in
+  let expected = ref [] in
+  for i = 0 to 14_999 do
+    (* Deadlines collide often, so ties are broken by arming order. *)
+    let at = Time.sec 60 + Time.us ((i * 7919) mod 997) in
+    if i mod 3 <> 0 then
+      doomed := Engine.timer eng ~at (fun () -> log := -i :: !log) :: !doomed
+    else begin
+      if i mod 2 = 0 then ignore (Engine.timer eng ~at (fun () -> log := i :: !log))
+      else Engine.schedule eng ~at (fun () -> log := i :: !log);
+      expected := (at, i) :: !expected
+    end
+  done;
+  let survivors = List.length !expected in
+  let n = ref (survivors + List.length !doomed) in
+  List.iter
+    (fun h ->
+      Engine.cancel h;
+      decr n;
+      if Engine.pending_events eng <> !n then
+        Alcotest.failf "pending %d after a cancel, expected %d"
+          (Engine.pending_events eng) !n)
+    (List.rev !doomed);
+  Alcotest.(check int) "survivors pending" survivors (Engine.pending_events eng);
+  Engine.run eng;
+  Alcotest.(check (list int)) "survivors fire in (at, arming) order"
+    (List.map snd (List.sort compare !expected))
+    (List.rev !log);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending_events eng)
+
+(* {2 Single-queue model}
+
+   Random [schedule]/[timer]/[cancel]/[run ~until] steps against a
+   reference that keeps every event in a sorted list. *)
+
+type step =
+  | S_sched of int  (** one-shot event, [dt] µs from now *)
+  | S_timer of int  (** cancellable timer, [dt] µs from now *)
+  | S_cancel of int  (** cancel the [k mod n]-th timer armed so far *)
+  | S_run of int  (** [run ~until:(now + dt µs)] *)
+
+let show_step = function
+  | S_sched d -> Printf.sprintf "sched %d" d
+  | S_timer d -> Printf.sprintf "timer %d" d
+  | S_cancel k -> Printf.sprintf "cancel %d" k
+  | S_run d -> Printf.sprintf "run %d" d
+
+let arb_steps =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [
+        (3, map (fun d -> S_sched d) (int_range 0 20));
+        (4, map (fun d -> S_timer d) (int_range 0 20));
+        (4, map (fun k -> S_cancel k) nat);
+        (1, map (fun d -> S_run d) (int_range 0 15));
+      ]
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map show_step l))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 300) step)
+
+let prop_single_queue_model =
+  QCheck.Test.make ~name:"engine matches a sorted-list queue" ~count:300
+    arb_steps (fun steps ->
+      let eng = Engine.create () in
+      let fired = ref [] in
+      (* The model: [(at, id)] of each live event, [id] being its arming
+         order, plus its own clock and fire log. *)
+      let model = ref [] and m_now = ref 0 and m_fired = ref [] in
+      let timers = ref [] in
+      let seq = ref 0 in
+      let arm ~timer dt =
+        let at = Engine.now eng + Time.us dt in
+        incr seq;
+        let id = !seq in
+        let fn () = fired := id :: !fired in
+        if timer then timers := (Engine.timer eng ~at fn, id) :: !timers
+        else Engine.schedule eng ~at fn;
+        model := (at, id) :: !model
+      in
+      let model_run until =
+        let due, later = List.partition (fun (at, _) -> at <= until) !model in
+        List.iter
+          (fun (at, id) ->
+            m_now := max !m_now at;
+            m_fired := id :: !m_fired)
+          (List.sort compare due);
+        model := later;
+        if later <> [] then m_now := max !m_now until
+      in
+      let check_state what =
+        if !fired <> !m_fired then QCheck.Test.fail_reportf "%s: fire order" what;
+        if Engine.now eng <> !m_now then
+          QCheck.Test.fail_reportf "%s: now %d, model %d" what (Engine.now eng)
+            !m_now;
+        if counter eng "engine.events_fired" <> List.length !m_fired then
+          QCheck.Test.fail_reportf "%s: events_fired" what;
+        if Engine.pending_events eng <> List.length !model then
+          QCheck.Test.fail_reportf "%s: pending %d, model %d" what
+            (Engine.pending_events eng) (List.length !model)
+      in
+      List.iter
+        (fun st ->
+          (match st with
+          | S_sched d -> arm ~timer:false d
+          | S_timer d -> arm ~timer:true d
+          | S_cancel k ->
+              if !timers <> [] then begin
+                let h, id = List.nth !timers (k mod List.length !timers) in
+                Engine.cancel h;
+                model := List.filter (fun (_, i) -> i <> id) !model
+              end
+          | S_run d ->
+              let until = Engine.now eng + Time.us d in
+              Engine.run ~until eng;
+              if Engine.now eng > until then
+                QCheck.Test.fail_reportf "now %d past until %d" (Engine.now eng)
+                  until;
+              model_run until);
+          check_state (show_step st))
+        steps;
+      Engine.run eng;
+      model_run max_int;
+      check_state "final run";
+      true)
+
+(* {2 Scheduler allocation gate}
+
+   A deterministic count for a given build: 64 processes, each sleeping
+   2,000 times for about 2 µs and re-arming a 200 ms timer every 50 sleeps.
+   The minor words allocated per fired event cover the closures the
+   workload itself needs plus whatever the engine adds per event; a
+   scheduler that allocates per pick (options, tuples, a multi-level
+   scan) blows through the bound. *)
+let test_scheduler_alloc_gate () =
+  let eng = Engine.create ~seed:7 () in
+  for p = 1 to 64 do
+    ignore
+      (Engine.spawn eng (fun () ->
+           let guard = ref (Engine.timer eng ~at:(Time.ms 200) ignore) in
+           for i = 1 to 2_000 do
+             Engine.sleep (Time.ns (1_900 + ((p * 37 + i) mod 200)));
+             if i mod 50 = 0 then begin
+               Engine.cancel !guard;
+               guard := Engine.timer eng ~at:(Engine.now eng + Time.ms 200) ignore
+             end
+           done;
+           Engine.cancel !guard))
+  done;
+  let w0 = Gc.minor_words () in
+  Engine.run eng;
+  let words = Gc.minor_words () -. w0 in
+  let fired = counter eng "engine.events_fired" in
+  Alcotest.(check bool) "every sleep ran" true (fired >= 64 * 2_000 * 2);
+  let per_event = words /. float_of_int fired in
+  if per_event > 64.0 then
+    Alcotest.failf "%.1f minor words per fired event (bound 64)" per_event
 
 let test_engine_cancel_after_fire () =
   (* Same at the engine layer: a no-op cancel must not count in the
@@ -1239,8 +1462,18 @@ let () =
             test_with_timeout_timeout;
           Alcotest.test_case "with_timeout done cancels" `Quick
             test_with_timeout_done_cancels_timer;
-          Alcotest.test_case "twheel cancel after fire" `Quick
-            test_twheel_cancel_after_fire;
+          Alcotest.test_case "handle cancel after fire" `Quick
+            test_timer_handle_after_fire;
+          Alcotest.test_case "double cancel" `Quick test_timer_double_cancel;
+          Alcotest.test_case "run until does not overshoot" `Quick
+            test_run_until_no_overshoot;
+          Alcotest.test_case "run until ignores tombstones" `Quick
+            test_run_until_ignores_tombstones;
+          Alcotest.test_case "sweep keeps survivor order" `Quick
+            test_timer_sweep;
+          QCheck_alcotest.to_alcotest prop_single_queue_model;
+          Alcotest.test_case "scheduler allocation gate" `Quick
+            test_scheduler_alloc_gate;
           Alcotest.test_case "engine cancel after fire" `Quick
             test_engine_cancel_after_fire;
           Alcotest.test_case "with_timeout same-tick wake first" `Quick
