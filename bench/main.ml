@@ -480,7 +480,7 @@ let run_fig8 ~mode ~file_mb ~fail_at =
              ~app ())
   in
   (match (cluster_opt, fail_at) with
-  | Some c, Some at -> Cluster.fail_primary c ~at
+  | Some c, Some at -> Cluster.kill c ~role:Replica_set.Primary ~at
   | _ -> ());
   let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
   let w =
@@ -713,10 +713,11 @@ let ablation_replica_count () =
       fun () -> Cluster.shutdown c);
   measure "3 (quorum 1 of 2)" (fun eng link ->
       let c =
-        Tricluster.create eng ~config:(ft_config ()) ~link:(Link.endpoint_a link)
-          ~app:fileserver_app ()
+        Cluster.create eng
+          ~config:{ (ft_config ()) with Cluster.replicas = 3 }
+          ~link:(Link.endpoint_a link) ~app:fileserver_app ()
       in
-      fun () -> Tricluster.shutdown c);
+      fun () -> Cluster.shutdown c);
   Printf.printf
     "(with quorum-1 stability the third replica is nearly free on the
     \ output path: the faster backup's acknowledgement releases output)

@@ -150,8 +150,9 @@ let print_health name = function
         (Lagmon.verdict_label (Lagmon.worst lm))
         (Lagmon.samples lm)
 
-(* Every epoch's monitor, oldest first: "lag", then "lag.e1", ... — monitors
-   of epochs replaced by a planned switch report the Retired verdict. *)
+(* Every monitor, oldest first: "lag", then "lag.e1", ... — monitors of
+   epochs replaced by a planned switch report the Retired verdict; with two
+   backups, "lag.b0" and "lag.b1". *)
 let print_cluster_health c =
   List.iter (fun (name, lm) -> print_health name (Some lm)) (Cluster.lagmons c)
 
@@ -754,7 +755,7 @@ let timeline_cmd =
 (* {1 triple} *)
 
 let triple_cmd =
-  let run seed fail_backup_ms fail_primary_ms driver_ms det_shard
+  let run seed kill_backup_ms kill_primary_ms driver_ms det_shard
       replay_workers lagmon stats_interval metrics_json trace_out trace_detail
       log_level log_filter =
     setup_logging log_level log_filter;
@@ -765,7 +766,8 @@ let triple_cmd =
     let config =
       {
         Cluster.default_config with
-        Cluster.driver_load_time = Time.ms driver_ms;
+        Cluster.replicas = 3;
+        driver_load_time = Time.ms driver_ms;
         det_shard;
         replay_workers;
         lagmon = lagmon_config_of lagmon;
@@ -789,13 +791,13 @@ let triple_cmd =
       in
       serve ()
     in
-    let t = Tricluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
-    (match fail_backup_ms with
-    | Some ms -> Tricluster.fail_backup t 0 ~at:(Time.ms ms)
-    | None -> ());
-    (match fail_primary_ms with
-    | Some ms -> Tricluster.fail_primary t ~at:(Time.ms ms)
-    | None -> ());
+    let t = Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
+    Option.iter
+      (fun ms -> Cluster.kill t ~role:Replica_set.Backup ~at:(Time.ms ms))
+      kill_backup_ms;
+    Option.iter
+      (fun ms -> Cluster.kill t ~role:Replica_set.Primary ~at:(Time.ms ms))
+      kill_primary_ms;
     let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
     let messages = List.init 40 (fun i -> Printf.sprintf "m%02d|" i) in
     let result = Ivar.create () in
@@ -819,18 +821,17 @@ let triple_cmd =
              messages;
            Ivar.fill result (Buffer.contents out)));
     drive eng ~cap:(Time.sec 60) ~stop:(fun () -> Ivar.is_filled result);
-    Tricluster.shutdown t;
+    Cluster.shutdown t;
     dump_metrics eng metrics_json;
     dump_trace eng trace_out;
     Printf.printf "backups' received LSN: %d / %d\n"
-      (Tricluster.backup_received_lsn t 0)
-      (Tricluster.backup_received_lsn t 1);
-    (match Tricluster.winner t with
+      (Cluster.backup_received_lsn t 0)
+      (Cluster.backup_received_lsn t 1);
+    (match Cluster.winner t with
     | Some w -> Printf.printf "takeover winner: backup %d\n" w
     | None -> Printf.printf "no failover occurred\n");
-    List.iteri
-      (fun i lm -> print_health (Printf.sprintf "lag.b%d" i) (Some lm))
-      (Tricluster.lagmons t);
+    print_lifecycle t;
+    print_cluster_health t;
     match Ivar.peek result with
     | Some s when s = String.concat "" messages ->
         Printf.printf "client stream: complete, exactly once (%d messages)\n"
@@ -838,12 +839,13 @@ let triple_cmd =
     | Some s -> Printf.printf "client stream: CORRUPTED (%d bytes)\n" (String.length s)
     | None -> Printf.printf "client stream: incomplete\n"
   in
-  let fail_backup =
+  let kill_backup =
     Arg.(
       value & opt (some int) None
-      & info [ "fail-backup-ms" ] ~docv:"MS" ~doc:"Fail-stop backup 0.")
+      & info [ "fail-backup-ms" ] ~docv:"MS"
+          ~doc:"Fail-stop the first live backup (backup 0).")
   in
-  let fail_primary =
+  let kill_primary =
     Arg.(
       value & opt (some int) None
       & info [ "fail-primary-ms" ] ~docv:"MS" ~doc:"Fail-stop the primary.")
@@ -852,7 +854,7 @@ let triple_cmd =
     (Cmd.info "triple"
        ~doc:"Three-replica echo service with optional injected failures (paper 6).")
     Term.(
-      const run $ seed_t $ fail_backup $ fail_primary $ driver_ms_t
+      const run $ seed_t $ kill_backup $ kill_primary $ driver_ms_t
       $ det_shard_t $ replay_workers_t $ lagmon_t $ stats_interval_t
       $ metrics_json_t $ trace_out_t $ trace_detail_t $ log_level_t
       $ log_filter_t)

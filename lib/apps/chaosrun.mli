@@ -42,13 +42,17 @@ val run :
     order.  [replay_workers] (default 1) sizes the backups' replay-executor
     pools (see {!Cluster.config}).
 
-    [reprotect] (default false; two replicas only — raises with three)
-    turns on {!Cluster} live re-protection with a [regen_delay] dwell
-    (default 50 ms): injections then resolve their target partition {e at
-    fire time} through the lifecycle API — roles move across failovers and
-    epoch switches, and a fault landing on an already-halted target is a
-    no-op — and the run's failover count and outage test come from
-    {!Cluster.failover_count} and {!Replica_set.all_halted}.  Pair with
+    [replicas] (2 or 3) is {!Cluster.config}'s [replicas]; three replicas
+    run on a 4-NUMA-node machine.  Shapes {!Cluster.create} rejects raise
+    [Invalid_argument].
+
+    [reprotect] (default false; two replicas only) turns on {!Cluster}
+    live re-protection with a [regen_delay] dwell (default 50 ms):
+    injections then resolve their target partition {e at fire time}
+    through the lifecycle API — roles move across failovers and epoch
+    switches, and a fault landing on an already-halted target is a no-op.
+    Every run's failover count and outage test come from
+    {!Cluster.failover_count} and {!Cluster.all_halted}.  Pair with
     {!Chaos.derive_multi} schedules to exercise kill → regenerate cycles
     of arbitrary length.
 

@@ -11,6 +11,7 @@ type lifecycle = Replica_set.lifecycle =
 
 type config = {
   topology : Topology.spec;
+  replicas : int;  (* 2 (primary + backup) or 3 (primary + two backups) *)
   split : [ `Symmetric | `Asymmetric of int ];
   kernel_config : Kernel.config;
   tcp_config : Tcp.config;
@@ -42,6 +43,7 @@ type config = {
 let default_config =
   {
     topology = Topology.opteron_testbed;
+    replicas = 2;
     split = `Symmetric;
     kernel_config = Kernel.default_config;
     tcp_config = Tcp.default_config;
@@ -135,6 +137,36 @@ type transition = {
   tr_epoch : int;  (* epoch in force once the transition lands *)
 }
 
+(* One backup replica.  A failover swaps the survivor's partition, kernel,
+   namespace and joining epoch with the primary's (when roles move), so the
+   slot then holds the dead primary; the message-layer pair stays in the
+   slot (frozen metrics) until an epoch switch replaces it. *)
+type backup = {
+  idx : int;
+  mutable part : Partition.t;
+  mutable kernel : Kernel.t;
+  mutable ml_p : Msglayer.primary;  (* the primary's end of this log *)
+  mutable ml_s : Msglayer.secondary;
+  mutable ns : Namespace.t;
+  mutable joined : int;  (* epoch at which this replica joined *)
+  mutable hb_p : Heartbeat.t option;  (* the primary watching this backup *)
+  mutable hb_s : Heartbeat.t option;
+      (* this backup watching the primary (after an arbitration: its peer) *)
+  mutable mon : Lagmon.t option;
+  mutable pair : (Digest.t * Digest.t) option;
+      (* the open (primary, this backup) digest pair *)
+  mutable journal : journal;
+      (* receive-order journal (re-protection only): the regeneration
+         source when the *primary* dies and this backup is the survivor *)
+  mutable left : bool;
+      (* an arbitration loser that stood down once the winner went live *)
+}
+
+(* Backup-to-backup mailbox traffic with two backups: the takeover
+   arbitration's received-LSN announcements, then the loser's and the
+   winner's heartbeats while the winner is not yet live. *)
+type arb_msg = Lsn of int | Beat
+
 type t = {
   eng : Engine.t;
   cfg : config;
@@ -142,25 +174,18 @@ type t = {
   app : Api.app;
   nic : Nic.t option;
   sink : live_sink option;  (* Some iff [cfg.reprotect] *)
+  group : Msglayer.group option;  (* Some iff two backups *)
+  arb : arb_msg Mailbox.duplex option;  (* backup 0 <-> backup 1 *)
   failover_done : unit Ivar.t;
   mutable part_p : Partition.t;
-  mutable part_s : Partition.t;
   mutable kernel_p : Kernel.t;
-  mutable kernel_s : Kernel.t;
-  mutable ml_p : Msglayer.primary;
-  mutable ml_s : Msglayer.secondary;
   mutable ns_p : Namespace.t;
-  mutable ns_s : Namespace.t;
-  mutable hb_p : Heartbeat.t option;
-  mutable hb_s : Heartbeat.t option;
-  mutable backup_journal : journal;
-      (* the attached backup's receive-order journal: the regeneration
-         source when the *primary* dies and the backup is the survivor *)
+  mutable epoch_joined_p : int;
+  backups : backup array;
   mutable lifecycle : lifecycle;
   mutable epoch : int;
   mutable failovers : int;
-  mutable epoch_joined_p : int;
-  mutable epoch_joined_s : int;
+  mutable winner : int option;
   mutable transitions : transition list;  (* newest first *)
   mutable subs : (transition -> unit) list;
   mutable regen_gen : int;
@@ -172,32 +197,32 @@ type t = {
   mutable digest_pairs : (Digest.t * Digest.t * Digest.cap option) list;
       (* closed (primary, secondary, secondary-side cap) digest pairs of
          past epochs, oldest last *)
-  mutable cur_pair : (Digest.t * Digest.t) option;
   mutable all_ns : Namespace.t list;
   mutable lagmons : (string * Lagmon.t) list;  (* newest first *)
-  mutable cur_mon : Lagmon.t option;
   mutable acc_msgs : int;
   mutable acc_bytes : int;
   mutable acc_records : int;
   mutable failover_started : Time.t option;
   mutable failover_completed : Time.t option;
   mutable primary_halted : Time.t option;
-  (* Open "failover.detect" span: begun when the primary halts, ended when
-     the heartbeat monitor reacts ([run_failover]). *)
-  mutable ph_detect : Evlog.span option;
+  (* The open pinned failover phase span: "failover.detect" from the
+     primary's halt, then drain_replay, driver_reload and golive. *)
+  mutable phase : Evlog.span option;
 }
 
 let log = Trace.make "ft.cluster"
 
 let machine t = t.machine
 let primary_partition t = t.part_p
-let secondary_partition t = t.part_s
+let secondary_partition t = t.backups.(0).part
+let backup_partition t i = t.backups.(i).part
 let primary_kernel t = t.kernel_p
-let secondary_kernel t = t.kernel_s
+let secondary_kernel t = t.backups.(0).kernel
 let primary_namespace t = t.ns_p
-let secondary_namespace t = t.ns_s
+let secondary_namespace t = t.backups.(0).ns
+let backup_received_lsn t i = Msglayer.received_lsn t.backups.(i).ml_s
 let failover_done t = t.failover_done
-let lagmon t = t.cur_mon
+let lagmon t = t.backups.(0).mon
 let lagmons t = List.rev t.lagmons
 let failover_started_at t = t.failover_started
 let failover_completed_at t = t.failover_completed
@@ -205,39 +230,73 @@ let primary_halted_at t = t.primary_halted
 let state t = t.lifecycle
 let epoch t = t.epoch
 let failover_count t = t.failovers
+let winner t = t.winner
 let transitions t = List.rev t.transitions
 let on_transition t f = t.subs <- t.subs @ [ f ]
 let switch_cutoff t = t.switch_cutoff
-let backup_first_lsn t = Msglayer.first_lsn t.ml_s
+let backup_first_lsn t = Msglayer.first_lsn t.backups.(0).ml_s
 
-let traffic_msgs t = t.acc_msgs + Msglayer.traffic_msgs t.ml_p t.ml_s
-let traffic_bytes t = t.acc_bytes + Msglayer.traffic_bytes t.ml_p t.ml_s
+let members t =
+  {
+    Replica_set.m_role = Replica_set.Primary;
+    m_epoch = t.epoch_joined_p;
+    m_partition = t.part_p;
+  }
+  :: List.filter_map
+       (fun b ->
+         if b.left then None
+         else
+           Some
+             {
+               Replica_set.m_role = Replica_set.Backup;
+               m_epoch = b.joined;
+               m_partition = b.part;
+             })
+       (Array.to_list t.backups)
+
+let all_halted t =
+  List.for_all
+    (fun m -> Partition.is_halted m.Replica_set.m_partition)
+    (members t)
+
+let sum_backups t f = Array.fold_left (fun acc b -> acc + f b) 0 t.backups
+
+let traffic_msgs t =
+  t.acc_msgs + sum_backups t (fun b -> Msglayer.traffic_msgs b.ml_p b.ml_s)
+
+let traffic_bytes t =
+  t.acc_bytes + sum_backups t (fun b -> Msglayer.traffic_bytes b.ml_p b.ml_s)
 
 let reset_traffic t =
   t.acc_msgs <- 0;
   t.acc_bytes <- 0;
-  Msglayer.reset_traffic t.ml_p t.ml_s
+  Array.iter (fun b -> Msglayer.reset_traffic b.ml_p b.ml_s) t.backups
 
 let det_ops t = Namespace.det_ops t.ns_p
-let records_sent t = t.acc_records + Msglayer.p_records t.ml_p
+
+(* Every backup's log carries the same records; a disabled member stops
+   counting, so take the longest. *)
+let records_sent t =
+  t.acc_records
+  + Array.fold_left
+      (fun acc b -> max acc (Msglayer.p_records b.ml_p))
+      0 t.backups
 
 let compare_digests t =
-  let rec first = function
-    | [] -> None
-    | (dp, ds, cap) :: rest -> (
-        match
-          Digest.compare_replicas_capped ~secondary_cap:cap ~primary:dp
-            ~secondary:ds
-        with
-        | Some d -> Some d
-        | None -> first rest)
+  let open_pairs =
+    List.filter_map
+      (fun b -> Option.map (fun (dp, ds) -> (dp, ds, None)) b.pair)
+      (Array.to_list t.backups)
   in
-  match first (List.rev t.digest_pairs) with
-  | Some d -> Some d
-  | None -> (
-      match t.cur_pair with
-      | Some (dp, ds) -> Digest.compare_replicas ~primary:dp ~secondary:ds
-      | None -> None)
+  List.fold_left
+    (fun acc (dp, ds, cap) ->
+      match acc with
+      | Some _ -> acc
+      | None ->
+          Digest.compare_replicas_capped ~secondary_cap:cap ~primary:dp
+            ~secondary:ds)
+    None
+    (List.rev_append t.digest_pairs open_pairs)
 
 let replay_divergence t =
   List.fold_left
@@ -245,10 +304,24 @@ let replay_divergence t =
       match acc with Some _ -> acc | None -> Namespace.divergence ns)
     None t.all_ns
 
+let stop_hb = Option.iter Heartbeat.stop
+
 let shutdown t =
-  (match t.hb_p with Some h -> Heartbeat.stop h | None -> ());
-  (match t.hb_s with Some h -> Heartbeat.stop h | None -> ());
+  Array.iter
+    (fun b ->
+      stop_hb b.hb_p;
+      stop_hb b.hb_s)
+    t.backups;
   List.iter (fun (_, m) -> Lagmon.stop m) t.lagmons
+
+let stop_heartbeats t =
+  Array.iter
+    (fun b ->
+      stop_hb b.hb_p;
+      stop_hb b.hb_s;
+      b.hb_p <- None;
+      b.hb_s <- None)
+    t.backups
 
 let set_lifecycle t to_ =
   if t.lifecycle <> to_ then begin
@@ -272,13 +345,26 @@ let set_lifecycle t to_ =
     List.iter (fun f -> f tr) t.subs
   end
 
-(* Per-epoch replication-health monitor wiring (see the determinism
-   contract in {!Lagmon}: sources are pure reads). *)
-let start_lagmon_epoch0 t lm_config =
-  let ml_p = t.ml_p and ml_s = t.ml_s and ns_p = t.ns_p in
-  let part_p = t.part_p in
+(* The failover phases are pinned (exempt from ring eviction) and
+   contiguous: each begins exactly where the previous one ends, so the
+   per-phase durations in [ftsim timeline] sum exactly to the halt-to-live
+   recovery time. *)
+let next_phase t name =
+  let ev = Engine.evlog t.eng in
+  Option.iter (Evlog.span_end ev) t.phase;
+  t.phase <- Some (Evlog.span_begin ev ~pin:true ~comp:"ft.cluster" name)
+
+let end_phase t =
+  Option.iter (Evlog.span_end (Engine.evlog t.eng)) t.phase;
+  t.phase <- None
+
+(* Per-backup replication-health monitor of the first epoch (see the
+   determinism contract in {!Lagmon}: sources are pure reads). *)
+let start_lagmon t b ~name lm_config =
+  let ml_p = b.ml_p and ml_s = b.ml_s and ns_p = t.ns_p in
+  let part_p = t.part_p and part_b = b.part in
   let mon =
-    Lagmon.start ~config:lm_config t.eng ~name:"lag"
+    Lagmon.start ~config:lm_config t.eng ~name
       {
         Lagmon.appended = (fun () -> Msglayer.last_lsn ml_p);
         acked = (fun () -> Msglayer.acked ml_p);
@@ -291,15 +377,19 @@ let start_lagmon_epoch0 t lm_config =
               (fun (c, emitted, _) ->
                 (c, emitted, Msglayer.chan_acked ml_p ~chan:c))
               (Namespace.chan_cursors ns_p));
+        (* A dead backup freezes its monitor at once: with two backups
+           quorum-1 output commit lets the primary run ahead of it until
+           the heartbeat declares it, which is a death, not lag. *)
         alive =
           (fun () ->
             t.failover_started = None
             && (not (Msglayer.is_disabled ml_p))
-            && not (Partition.is_halted part_p));
+            && (not (Partition.is_halted part_p))
+            && not (Partition.is_halted part_b));
       }
   in
-  t.lagmons <- ("lag", mon) :: t.lagmons;
-  t.cur_mon <- Some mon
+  t.lagmons <- (name, mon) :: t.lagmons;
+  b.mon <- Some mon
 
 (* An unexpected halt of the *current* primary opens the
    "failover.detect" phase; while there is no attached backup it is
@@ -311,10 +401,7 @@ let rec watch_primary t part =
       if part == t.part_p then begin
         if t.failover_started = None && t.lifecycle = Protected then begin
           t.primary_halted <- Some (Engine.now t.eng);
-          t.ph_detect <-
-            Some
-              (Evlog.span_begin (Engine.evlog t.eng) ~pin:true
-                 ~comp:"ft.cluster" "failover.detect")
+          next_phase t "failover.detect"
         end
         else if t.lifecycle = Degraded || t.lifecycle = Regenerating then begin
           (* No fully-replicated survivor: a half-replayed regeneration
@@ -324,94 +411,95 @@ let rec watch_primary t part =
           Trace.warnf log ~eng:t.eng "primary died while %s: service outage"
             (Replica_set.lifecycle_label t.lifecycle);
           t.regen_gen <- t.regen_gen + 1;
-          if t.lifecycle = Regenerating && not (Partition.is_halted t.part_s)
-          then Ipi.send_halt t.eng t.part_s;
+          let b = t.backups.(0) in
+          if t.lifecycle = Regenerating && not (Partition.is_halted b.part)
+          then Ipi.send_halt t.eng b.part;
           set_lifecycle t Outage
         end
       end)
 
-and start_heartbeats t ~epoch =
-  let suffix = if epoch = 0 then "" else Printf.sprintf ".e%d" epoch in
-  let ml_p = t.ml_p
-  and ml_s = t.ml_s
-  and kernel_p = t.kernel_p
-  and kernel_s = t.kernel_s in
-  (* Guard against a stale detector of a replaced epoch firing late. *)
-  let guard f () = if t.epoch = epoch && t.lifecycle = Protected then f () in
-  t.hb_p <-
+and start_heartbeats t b ~epoch =
+  let p_name, s_name =
+    if Array.length t.backups = 1 then
+      let suffix = if epoch = 0 then "" else Printf.sprintf ".e%d" epoch in
+      ("primary" ^ suffix, "secondary" ^ suffix)
+    else
+      ( Printf.sprintf "primary-of-backup-%d" b.idx,
+        Printf.sprintf "backup-%d" b.idx )
+  in
+  let ml_p = b.ml_p and ml_s = b.ml_s and kernel_p = t.kernel_p in
+  let kernel_s = b.kernel in
+  (* Guard against a stale detector of a replaced epoch firing late.  A
+     backup's detector also fires once another backup's detection already
+     started the failover: it must join the takeover arbitration. *)
+  let live () = t.epoch = epoch && t.lifecycle = Protected in
+  let joins () =
+    t.epoch = epoch && t.failover_started <> None
+    && t.failover_completed = None
+  in
+  b.hb_p <-
     Some
-      (Heartbeat.start
-         ~name:("primary" ^ suffix)
+      (Heartbeat.start ~name:p_name
          ~spawn:(fun name f -> Kernel.spawn_thread kernel_p ~name f)
          ~eng:t.eng ~period:t.cfg.hb_period ~timeout:t.cfg.hb_timeout
          ~send:(fun ~seq -> Msglayer.send_heartbeat_p ml_p ~seq)
          ~last_peer:(fun () -> Msglayer.last_peer_activity_p ml_p)
-         ~on_failure:(guard (fun () -> on_backup_death t))
+         ~on_failure:(fun () -> if live () then on_backup_death t b)
          ());
-  t.hb_s <-
+  b.hb_s <-
     Some
-      (Heartbeat.start
-         ~name:("secondary" ^ suffix)
+      (Heartbeat.start ~name:s_name
          ~spawn:(fun name f -> Kernel.spawn_thread kernel_s ~name f)
          ~eng:t.eng ~period:t.cfg.hb_period ~timeout:t.cfg.hb_timeout
          ~send:(fun ~seq -> Msglayer.send_heartbeat_s ml_s ~seq)
          ~last_peer:(fun () -> Msglayer.last_peer_activity_s ml_s)
-         ~on_failure:(guard (fun () -> run_failover t))
+         ~on_failure:(fun () -> if live () || joins () then run_failover t b)
          ())
 
-and stop_heartbeats t =
-  (match t.hb_p with Some h -> Heartbeat.stop h | None -> ());
-  (match t.hb_s with Some h -> Heartbeat.stop h | None -> ());
-  t.hb_p <- None;
-  t.hb_s <- None
-
-(* The failover sequence (§3.7), run on the surviving backup when the
-   primary is declared failed.  Wall-clock is dominated by the NIC driver
-   reload (99 % of the ~5 s reported in §4.4).  With re-protection on, the
-   survivor is additionally *promoted*: it keeps recording into the live
-   sink (journal) so a regenerated backup can be spliced in later. *)
-and run_failover t =
-  t.failover_started <- Some (Engine.now t.eng);
-  t.failovers <- t.failovers + 1;
-  let reg = Engine.metrics t.eng in
-  let ev = Engine.evlog t.eng in
-  Metrics.Counter.incr (Metrics.Registry.counter reg "cluster.failovers");
-  Trace.warnf log ~eng:t.eng "failover: primary declared failed";
-  (* The failover-phase spans are pinned (exempt from ring eviction) and
-     contiguous: detect ends exactly where drain/replay begins, and so on —
-     so the per-phase durations in [ftsim timeline] sum exactly to the
-     halt-to-live recovery time. *)
-  (match t.ph_detect with
-  | Some sp ->
-      Evlog.span_end ev sp;
-      t.ph_detect <- None
-  | None ->
-      (* No observed halt (e.g. a false-positive detection): record a
-         zero-length detect phase so the timeline still has all four. *)
-      Evlog.span_end ev
-        (Evlog.span_begin ev ~pin:true ~comp:"ft.cluster" "failover.detect"));
-  (* IPI first, Degraded second: the halt hook must see the lifecycle
-     still Protected so it does not read our own halt as an outage. *)
-  Ipi.send_halt t.eng t.part_p;
-  set_lifecycle t Degraded;
-  t.degraded_at <- Some (Engine.now t.eng);
-  stop_heartbeats t;
-  let kernel_s = t.kernel_s
-  and part_s = t.part_s
-  and ns_s = t.ns_s
-  and ml_s = t.ml_s in
-  let ph_drain =
-    Evlog.span_begin ev ~pin:true ~comp:"ft.cluster" "failover.drain_replay"
+(* The failover sequence (§3.7), run on a surviving backup [b] when it
+   declares the primary failed.  The first backup to do so halts the
+   primary and opens the drain phase; with two backups each then drains
+   its own log and the arbitration picks the one that takes over.
+   Wall-clock is dominated by the NIC driver reload (99 % of the ~5 s
+   reported in §4.4). *)
+and run_failover t b =
+  if t.failover_started = None then begin
+    t.failover_started <- Some (Engine.now t.eng);
+    t.failovers <- t.failovers + 1;
+    Metrics.Counter.incr
+      (Metrics.Registry.counter (Engine.metrics t.eng) "cluster.failovers");
+    Trace.warnf log ~eng:t.eng "failover: primary declared failed";
+    (* No observed halt (e.g. a false-positive detection): record a
+       zero-length detect phase so the timeline still has all four. *)
+    if t.phase = None then next_phase t "failover.detect";
+    end_phase t;
+    (* IPI first, Degraded second: the halt hook must see the lifecycle
+       still Protected so it does not read our own halt as an outage. *)
+    Ipi.send_halt t.eng t.part_p;
+    set_lifecycle t Degraded;
+    t.degraded_at <- Some (Engine.now t.eng);
+    Array.iter
+      (fun o ->
+        stop_hb o.hb_p;
+        o.hb_p <- None)
+      t.backups;
+    stop_hb b.hb_s;
+    b.hb_s <- None;
+    next_phase t "failover.drain_replay"
+  end;
+  let name =
+    if Array.length t.backups = 1 then "ft-failover"
+    else Printf.sprintf "ft-failover-%d" b.idx
   in
   ignore
-    (Kernel.spawn_thread kernel_s ~name:"ft-failover" (fun () ->
+    (Kernel.spawn_thread b.kernel ~name (fun () ->
          (* 1. Drain the log: everything the primary managed to put in
             shared memory survives its crash and must be consumed.
             [Msglayer.drained] also covers the replay-executor pool, so
             with parallel replay this waits for every executor's queue —
             not just the dispatch loop — to run dry. *)
          let rec wait_drained () =
-           if not (Msglayer.drained ml_s) then begin
+           if not (Msglayer.drained b.ml_s) then begin
              Engine.sleep (Time.ms 1);
              wait_drained ()
            end
@@ -424,154 +512,252 @@ and run_failover t =
            if consecutive >= 2 then ()
            else begin
              Engine.sleep (Time.ms 1);
-             if Namespace.replay_idle ns_s then wait_idle (consecutive + 1)
+             if Namespace.replay_idle b.ns then wait_idle (consecutive + 1)
              else wait_idle 0
            end
          in
          wait_idle 0;
-         Evlog.span_end ev ph_drain;
-         let ph_driver =
-           Evlog.span_begin ev ~pin:true ~comp:"ft.cluster"
-             "failover.driver_reload"
-         in
-         Trace.infof log ~eng:t.eng "failover: log drained, replay complete";
-         (* With re-protection: bound later comparisons against the dead
-            primary's digest at the survivor's replay point — everything
-            beyond it died unreplicated with the primary — and close the
-            epoch's digest pair.  The survivor's digest keeps growing as
-            the next epoch's recording primary. *)
-         if t.cfg.reprotect then begin
-           let cap = Option.map Digest.capture (Namespace.digest ns_s) in
-           match t.cur_pair with
-           | Some (dp, ds) ->
-               t.digest_pairs <- (dp, ds, cap) :: t.digest_pairs;
-               t.cur_pair <- None
-           | None -> ()
-         end;
-         let promote_of restored =
-           if t.cfg.reprotect then begin
-             let sink = Option.get t.sink in
-             (* The survivor's receive journal is the authoritative
-                timeline now; the promoted primary appends to it. *)
-             sink.ls_ml <- None;
-             sink.ls_journal <- t.backup_journal;
-             Some
-               {
-                 Namespace.pr_sink = sink_of_live_sink sink;
-                 pr_restored = restored;
-                 pr_output_commit = t.cfg.output_commit;
-                 pr_ack_commit = t.cfg.ack_commit;
-               }
-           end
-           else None
-         in
-         (* 3. Take over the network: reload the driver, rebuild the TCP
-            stack from the shadow's logical state, re-listen. *)
-         let finish_golive () =
-           let ph_golive =
-             Evlog.span_begin ev ~pin:true ~comp:"ft.cluster" "failover.golive"
-           in
-           fun () -> Evlog.span_end ev ph_golive
-         in
-         (match t.nic with
-         | Some nic ->
-             let stack_s =
-               Tcp.create (Netenv.of_kernel kernel_s) ~config:t.cfg.tcp_config
-                 ~ip:t.cfg.server_ip ()
-             in
-             Nic.transfer nic ~owner:part_s ~rx:(Tcp.rx_callback stack_s);
-             Evlog.span_end ev ph_driver;
-             let golive_done = finish_golive () in
-             Tcp.bind_nic stack_s nic;
-             let shadow = Namespace.shadow_of ns_s in
-             let listeners =
-               (* Re-create each listener group with the shard/backlog/
-                  overflow shape the replayed app registered, so accept
-                  routing and shed behaviour survive the failover. *)
-               List.concat_map
-                 (fun lc ->
-                   let shards =
-                     Tcp.listen_group stack_s ~port:lc.Shadow.lc_port
-                       ~shards:lc.Shadow.lc_shards ?backlog:lc.Shadow.lc_backlog
-                       ~overflow:lc.Shadow.lc_overflow ()
-                   in
-                   Array.to_list
-                     (Array.map
-                        (fun l ->
-                          ((lc.Shadow.lc_port, Tcp.listener_shard l), l))
-                        shards))
-                 (Shadow.listener_configs shadow)
-             in
-             let restored = Shadow.restore_all shadow stack_s in
-             (* Connections the application never accepted were sitting in
-                the dead primary's accept queue; hand them to the fresh
-                listeners (in establishment order) instead of orphaning
-                them.  Output commit guarantees no response to them was
-                ever released, so a fresh accept-and-serve is exactly-once
-                from the client's point of view. *)
-             List.iter
-               (fun (cid, rc) ->
-                 if not (Shadow.was_accepted shadow ~cid) then
-                   Tcp.requeue_restored stack_s rc)
-               (List.sort (fun (a, _) (b, _) -> compare a b) restored);
-             Namespace.go_live ns_s ~stack:stack_s ~listeners
-               ?promote:(promote_of restored) ();
-             golive_done ()
-         | None ->
-             Evlog.span_end ev ph_driver;
-             let golive_done = finish_golive () in
-             Namespace.go_live ns_s ?promote:(promote_of []) ();
-             golive_done ());
-         if t.cfg.reprotect then begin
-           (* Role swap: the survivor is the primary of the next epoch;
-              the dead unit stays listed as the backup slot until
-              regeneration replaces it.  The dead message-layer pair
-              stays in the fields (frozen metrics) until the splice. *)
-           let op = t.part_p and ok = t.kernel_p and on = t.ns_p in
-           let oe = t.epoch_joined_p in
-           t.part_p <- t.part_s;
-           t.kernel_p <- t.kernel_s;
-           t.ns_p <- t.ns_s;
-           t.epoch_joined_p <- t.epoch_joined_s;
-           t.part_s <- op;
-           t.kernel_s <- ok;
-           t.ns_s <- on;
-           t.epoch_joined_s <- oe;
-           watch_primary t t.part_p;
-           schedule_reprotect t
-         end;
-         t.failover_completed <- Some (Engine.now t.eng);
-         (match t.failover_started with
-         | Some s ->
-             Metrics.Hist.record
-               (Metrics.Registry.hist reg "cluster.failover_ns")
-               (float_of_int (Engine.now t.eng - s))
-         | None -> ());
-         Trace.warnf log ~eng:t.eng "failover: secondary is live";
-         if t.failovers = 1 then Ivar.fill t.failover_done ()))
+         if arbitrate t b then begin
+           next_phase t "failover.driver_reload";
+           Trace.infof log ~eng:t.eng "failover: log drained, replay complete";
+           take_over t b
+         end))
 
-(* The backup died.  Without re-protection the primary runs solo,
-   unreplicated, to the end of the run (the original behaviour).  With it,
-   the primary keeps *recording* — appends flow into the journal — so a
-   fresh backup can replay the full timeline and re-attach. *)
-and on_backup_death t =
+(* With two backups: exchange received LSNs over the backup-to-backup
+   mailbox; the longer log wins, a tie goes to the lower id, and a peer
+   that is dead or silent forfeits.  Quorum-1 output commit guarantees the
+   winner's log covers every output a client may have seen.  The loser
+   stands by, watching the winner until it is live. *)
+and arbitrate t b =
+  match t.arb with
+  | None ->
+      t.winner <- Some b.idx;
+      true
+  | Some arb ->
+      let peer = t.backups.(1 - b.idx) in
+      let my_lsn = Msglayer.received_lsn b.ml_s in
+      let out, inb =
+        if b.idx = 0 then (arb.Mailbox.a_to_b, arb.Mailbox.b_to_a)
+        else (arb.Mailbox.b_to_a, arb.Mailbox.a_to_b)
+      in
+      ignore (Mailbox.try_send out ~bytes:16 (Lsn my_lsn));
+      let deadline = Engine.now t.eng + (4 * t.cfg.hb_timeout) in
+      let rec peer_lsn () =
+        if Partition.is_halted peer.part then None
+        else
+          match Mailbox.recv_timeout inb ~deadline with
+          | Some (Lsn l) -> Some l
+          | Some Beat -> peer_lsn ()
+          | None -> None
+      in
+      let peer_lsn = peer_lsn () in
+      let wins =
+        match peer_lsn with
+        | None -> true
+        | Some pl -> my_lsn > pl || (my_lsn = pl && b.idx < peer.idx)
+      in
+      Trace.warnf log ~eng:t.eng "backup %d: arbitration lsn=%d peer=%s -> %s"
+        b.idx my_lsn
+        (match peer_lsn with Some p -> string_of_int p | None -> "dead")
+        (if wins then "takes over" else "stands by");
+      if wins then t.winner <- Some b.idx;
+      Option.iter
+        (fun announced ->
+          watch_peer t b ~out ~inb
+            ~on_failure:
+              (if wins then ignore else fun () -> standby_fails t b ~announced))
+        peer_lsn;
+      wins
+
+(* Heartbeats between the arbitration winner and the standby, on the
+   backup-to-backup mailbox (replacing [b]'s spent primary detector). *)
+and watch_peer t b ~out ~inb ~on_failure =
+  let last = ref (Engine.now t.eng) in
+  ignore
+    (Kernel.spawn_thread b.kernel ~name:"ft-arb-rx" (fun () ->
+         let rec loop () =
+           ignore (Mailbox.recv inb);
+           last := Engine.now t.eng;
+           loop ()
+         in
+         loop ()));
+  b.hb_s <-
+    Some
+      (Heartbeat.start
+         ~name:(Printf.sprintf "arb-%d" b.idx)
+         ~spawn:(fun name f -> Kernel.spawn_thread b.kernel ~name f)
+         ~eng:t.eng ~period:t.cfg.hb_period ~timeout:t.cfg.hb_timeout
+         ~send:(fun ~seq:_ -> ignore (Mailbox.try_send out ~bytes:16 Beat))
+         ~last_peer:(fun () -> !last)
+         ~on_failure ())
+
+(* The standby lost the winner before it went live.  Its log covers every
+   released output if it is at least as long as the one the winner
+   announced; otherwise nobody can serve. *)
+and standby_fails t b ~announced =
+  if t.failover_completed = None then
+    if Msglayer.received_lsn b.ml_s >= announced then begin
+      Trace.warnf log ~eng:t.eng
+        "backup %d: takeover winner died before going live; standby takes over"
+        b.idx;
+      t.winner <- Some b.idx;
+      take_over t b
+    end
+    else begin
+      Trace.warnf log ~eng:t.eng
+        "backup %d: takeover winner died with a longer log: service outage"
+        b.idx;
+      Ipi.send_halt t.eng b.part;
+      set_lifecycle t Outage
+    end
+
+(* Take over the network and go live on backup [b], whose log is drained
+   and replayed.  With re-protection the survivor is additionally
+   *promoted*: it keeps recording into the live sink (journal) so a
+   regenerated backup can be spliced in later. *)
+and take_over t b =
+  let reg = Engine.metrics t.eng in
+  (* With re-protection: bound later comparisons against the dead
+     primary's digest at the survivor's replay point — everything beyond it
+     died unreplicated with the primary — and close the epoch's digest
+     pair.  The survivor's digest keeps growing as the next epoch's
+     recording primary. *)
+  if t.cfg.reprotect then begin
+    let cap = Option.map Digest.capture (Namespace.digest b.ns) in
+    match b.pair with
+    | Some (dp, ds) ->
+        t.digest_pairs <- (dp, ds, cap) :: t.digest_pairs;
+        b.pair <- None
+    | None -> ()
+  end;
+  let promote_of restored =
+    if t.cfg.reprotect then begin
+      let sink = Option.get t.sink in
+      (* The survivor's receive journal is the authoritative timeline now;
+         the promoted primary appends to it. *)
+      sink.ls_ml <- None;
+      sink.ls_journal <- b.journal;
+      Some
+        {
+          Namespace.pr_sink = sink_of_live_sink sink;
+          pr_restored = restored;
+          pr_output_commit = t.cfg.output_commit;
+          pr_ack_commit = t.cfg.ack_commit;
+        }
+    end
+    else None
+  in
+  (* Take over the network: reload the driver, rebuild the TCP stack from
+     the shadow's logical state, re-listen. *)
+  (match t.nic with
+  | Some nic ->
+      let stack_s =
+        Tcp.create (Netenv.of_kernel b.kernel) ~config:t.cfg.tcp_config
+          ~ip:t.cfg.server_ip ()
+      in
+      Nic.transfer nic ~owner:b.part ~rx:(Tcp.rx_callback stack_s);
+      next_phase t "failover.golive";
+      Tcp.bind_nic stack_s nic;
+      let shadow = Namespace.shadow_of b.ns in
+      let listeners =
+        (* Re-create each listener group with the shard/backlog/overflow
+           shape the replayed app registered, so accept routing and shed
+           behaviour survive the failover. *)
+        List.concat_map
+          (fun lc ->
+            let shards =
+              Tcp.listen_group stack_s ~port:lc.Shadow.lc_port
+                ~shards:lc.Shadow.lc_shards ?backlog:lc.Shadow.lc_backlog
+                ~overflow:lc.Shadow.lc_overflow ()
+            in
+            Array.to_list
+              (Array.map
+                 (fun l -> ((lc.Shadow.lc_port, Tcp.listener_shard l), l))
+                 shards))
+          (Shadow.listener_configs shadow)
+      in
+      let restored = Shadow.restore_all shadow stack_s in
+      (* Connections the application never accepted were sitting in the
+         dead primary's accept queue; hand them to the fresh listeners (in
+         establishment order) instead of orphaning them.  Output commit
+         guarantees no response to them was ever released, so a fresh
+         accept-and-serve is exactly-once from the client's point of
+         view. *)
+      List.iter
+        (fun (cid, rc) ->
+          if not (Shadow.was_accepted shadow ~cid) then
+            Tcp.requeue_restored stack_s rc)
+        (List.sort (fun (a, _) (b, _) -> compare a b) restored);
+      Namespace.go_live b.ns ~stack:stack_s ~listeners
+        ?promote:(promote_of restored) ()
+  | None ->
+      next_phase t "failover.golive";
+      Namespace.go_live b.ns ?promote:(promote_of []) ());
+  end_phase t;
+  (* Role swap when roles move (re-protection, or two backups): the
+     survivor is the primary from here on and the dead unit takes its
+     backup slot — with re-protection until regeneration replaces it.
+     Without either, roles keep the original assignment. *)
+  if t.cfg.reprotect || Array.length t.backups > 1 then begin
+    let op = t.part_p and ok = t.kernel_p and on = t.ns_p in
+    let oe = t.epoch_joined_p in
+    t.part_p <- b.part;
+    t.kernel_p <- b.kernel;
+    t.ns_p <- b.ns;
+    t.epoch_joined_p <- b.joined;
+    b.part <- op;
+    b.kernel <- ok;
+    b.ns <- on;
+    b.joined <- oe;
+    watch_primary t t.part_p
+  end;
+  if t.cfg.reprotect then schedule_reprotect t;
+  t.failover_completed <- Some (Engine.now t.eng);
+  (match t.failover_started with
+  | Some s ->
+      Metrics.Hist.record
+        (Metrics.Registry.hist reg "cluster.failover_ns")
+        (float_of_int (Engine.now t.eng - s))
+  | None -> ());
+  Trace.warnf log ~eng:t.eng "failover: secondary is live";
+  if t.failovers = 1 then Ivar.fill t.failover_done ();
+  (* A standby's log lacks the outputs the new primary releases
+     unreplicated from here on, so it stands down and leaves the set. *)
+  stop_heartbeats t;
+  Array.iter
+    (fun o ->
+      if o != b && not (Partition.is_halted o.part) then begin
+        o.left <- true;
+        Ipi.send_halt t.eng o.part
+      end)
+    t.backups
+
+(* A backup died.  Without re-protection the primary carries on
+   replicated to the remaining backups, and once none is left runs solo,
+   unreplicated, to the end of the run (the original behaviour).  With
+   it, the primary keeps *recording* — appends flow into the journal — so
+   a fresh backup can replay the full timeline and re-attach. *)
+and on_backup_death t b =
   if not t.cfg.reprotect then begin
     Trace.warnf log ~eng:t.eng "secondary declared failed; primary runs solo";
-    Ipi.send_halt t.eng t.part_s;
-    Msglayer.disable t.ml_p;
-    Namespace.go_solo t.ns_p
+    Ipi.send_halt t.eng b.part;
+    (match t.group with
+    | Some g -> Msglayer.group_disable g b.idx
+    | None -> Msglayer.disable b.ml_p);
+    if Array.for_all (fun o -> Msglayer.is_disabled o.ml_p) t.backups then
+      Namespace.go_solo t.ns_p
   end
   else begin
     Trace.warnf log ~eng:t.eng
       "backup declared failed; primary degrades (journal keeps recording)";
-    Ipi.send_halt t.eng t.part_s;
+    Ipi.send_halt t.eng b.part;
     stop_heartbeats t;
     (* The dead backup's digest froze at its replay point — a valid prefix
        of the primary's, so the pair closes uncapped. *)
-    (match t.cur_pair with
+    (match b.pair with
     | Some (dp, ds) ->
         t.digest_pairs <- (dp, ds, None) :: t.digest_pairs;
-        t.cur_pair <- None
+        b.pair <- None
     | None -> ());
     let sink = Option.get t.sink in
     (* Journal-direct appends from here; *then* release the dead message
@@ -579,12 +765,11 @@ and on_backup_death t =
        unprotected — Degraded's defining property).  TCP hooks stay
        installed: the primary records, it does not go solo. *)
     sink.ls_ml <- None;
-    Msglayer.disable t.ml_p;
+    Msglayer.disable b.ml_p;
     set_lifecycle t Degraded;
     t.degraded_at <- Some (Engine.now t.eng);
     schedule_reprotect t
   end
-
 and schedule_reprotect t =
   ignore
     (Engine.timer t.eng
@@ -613,14 +798,15 @@ and do_reprotect t =
     let ev = Engine.evlog t.eng in
     let reg = Engine.metrics t.eng in
     let new_epoch = t.epoch + 1 in
+    let b = t.backups.(0) in
     Metrics.Counter.incr (Metrics.Registry.counter reg "cluster.reprotects");
     (* Power-cycle the failed unit's hardware and boot the replacement. *)
     let part_b =
-      Machine.recommission t.machine t.part_s
+      Machine.recommission t.machine b.part
         ~name:(Printf.sprintf "backup.e%d" new_epoch)
     in
-    t.part_s <- part_b;
-    t.epoch_joined_s <- new_epoch;
+    b.part <- part_b;
+    b.joined <- new_epoch;
     set_lifecycle t Regenerating;
     let span =
       Evlog.span_begin ev ~pin:true ~comp:"ft.cluster" "reprotect.regen"
@@ -630,12 +816,12 @@ and do_reprotect t =
       "re-protection: regenerating backup for epoch %d (journal=%d records)"
       new_epoch sink.ls_journal.j_len;
     let kernel_b = Kernel.boot part_b ~config:t.cfg.kernel_config () in
-    t.kernel_s <- kernel_b;
+    b.kernel <- kernel_b;
     let ns_b =
       Namespace.secondary kernel_b ~env:t.cfg.app_env
         ~det_shard:t.cfg.det_shard ()
     in
-    t.ns_s <- ns_b;
+    b.ns <- ns_b;
     t.all_ns <- ns_b :: t.all_ns;
     let d_fresh = Digest.create () in
     Namespace.attach_digest ns_b d_fresh;
@@ -776,18 +962,18 @@ and do_reprotect t =
           ~handler:(fun record -> Namespace.record_handler ns_b record)
       in
       (* Bank the dead pair's traffic before dropping the handles. *)
-      t.acc_msgs <- t.acc_msgs + Msglayer.traffic_msgs t.ml_p t.ml_s;
-      t.acc_bytes <- t.acc_bytes + Msglayer.traffic_bytes t.ml_p t.ml_s;
-      t.acc_records <- t.acc_records + Msglayer.p_records t.ml_p;
-      t.ml_p <- ml_p';
-      t.ml_s <- ml_s';
-      t.backup_journal <- jb;
+      t.acc_msgs <- t.acc_msgs + Msglayer.traffic_msgs b.ml_p b.ml_s;
+      t.acc_bytes <- t.acc_bytes + Msglayer.traffic_bytes b.ml_p b.ml_s;
+      t.acc_records <- t.acc_records + Msglayer.p_records b.ml_p;
+      b.ml_p <- ml_p';
+      b.ml_s <- ml_s';
+      b.journal <- jb;
       sink.ls_ml <- Some ml_p';
       t.epoch <- new_epoch;
       t.failover_started <- None;
       t.failover_completed <- None;
       t.primary_halted <- None;
-      t.ph_detect <- None;
+      t.phase <- None;
       set_lifecycle t Protected;
       Evlog.span_end ev span;
       Metrics.Hist.record
@@ -804,12 +990,12 @@ and do_reprotect t =
           Kernel.spawn_thread t.kernel_p ~name f);
       Msglayer.spawn_secondary_rx ml_s' (fun name f ->
           Kernel.spawn_thread kernel_b ~name f);
-      start_heartbeats t ~epoch:new_epoch;
+      start_heartbeats t b ~epoch:new_epoch;
       live := Some (ml_p', ml_s');
       (* The replaced epoch's monitor was retired by a *planned* switch —
          report that, not a frozen last verdict. *)
-      Option.iter Lagmon.retire t.cur_mon;
-      t.cur_mon <- mon;
+      Option.iter Lagmon.retire b.mon;
+      b.mon <- mon;
       Trace.warnf log ~eng:t.eng
         "re-protection complete: epoch %d protected (cutoff LSN %d)"
         new_epoch cutoff
@@ -845,41 +1031,81 @@ and do_reprotect t =
            loop ()))
   end
 
+let check_shape c =
+  let reject why = invalid_arg ("Cluster.create: " ^ why) in
+  if c.replicas <> 2 && c.replicas <> 3 then
+    reject (Printf.sprintf "%d replicas (2 or 3 supported)" c.replicas);
+  if c.replicas = 3 then begin
+    if c.reprotect then reject "re-protection needs replicas = 2";
+    (match c.split with
+    | `Asymmetric _ -> reject "three replicas need a symmetric split"
+    | `Symmetric -> ());
+    if c.topology.Topology.numa_nodes mod 4 <> 0 then
+      reject "three replicas need a NUMA node count divisible by 4"
+  end
+
 let create eng ?(config = default_config) ?link ~app () =
+  check_shape config;
   let machine = Machine.create eng config.topology in
-  let part_p, part_s =
+  let part_p, parts_b =
     match config.split with
-    | `Symmetric -> Machine.split_symmetric machine
+    | `Symmetric when config.replicas = 3 ->
+        let p, b0, b1 = Machine.split_half_quarters machine in
+        (p, [| b0; b1 |])
+    | `Symmetric ->
+        let p, s = Machine.split_symmetric machine in
+        (p, [| s |])
     | `Asymmetric primary_cores ->
-        Machine.split_asymmetric machine ~primary_cores
+        let p, s = Machine.split_asymmetric machine ~primary_cores in
+        (p, [| s |])
   in
+  let single = Array.length parts_b = 1 in
   let kernel_p = Kernel.boot part_p ~config:config.kernel_config () in
-  let kernel_s = Kernel.boot part_s ~config:config.kernel_config () in
-  let duplex =
-    Mailbox.duplex eng ~config:config.mailbox_config ~a:part_p ~b:part_s ()
+  let kernels_b =
+    Array.map (fun p -> Kernel.boot p ~config:config.kernel_config ()) parts_b
+  in
+  let duplexes =
+    Array.map
+      (fun pb ->
+        Mailbox.duplex eng ~config:config.mailbox_config ~a:part_p ~b:pb ())
+      parts_b
   in
   (* A coherency-disrupting fault loses whatever the victim had in flight
      in its outbound rings (§3.5's rare worst case). *)
-  Machine.on_coherency_loss machine ~partition_id:(Partition.id part_p)
-    (fun () -> Mailbox.drop_in_flight duplex.Mailbox.a_to_b);
-  Machine.on_coherency_loss machine ~partition_id:(Partition.id part_s)
-    (fun () -> Mailbox.drop_in_flight duplex.Mailbox.b_to_a);
+  Array.iteri
+    (fun i d ->
+      Machine.on_coherency_loss machine ~partition_id:(Partition.id part_p)
+        (fun () -> Mailbox.drop_in_flight d.Mailbox.a_to_b);
+      Machine.on_coherency_loss machine
+        ~partition_id:(Partition.id parts_b.(i))
+        (fun () -> Mailbox.drop_in_flight d.Mailbox.b_to_a))
+    duplexes;
   (* Dual journals (re-protection only): the primary spools appends at LSN
      assignment, the backup spools receives in LSN order — whichever side
      survives a fault holds the full authoritative timeline. *)
   let jp = journal_create () in
-  let jb = journal_create () in
+  let jbs = Array.map (fun _ -> journal_create ()) parts_b in
   let sink_opt =
     if config.reprotect then Some { ls_ml = None; ls_journal = jp } else None
   in
-  let ml_p =
-    Msglayer.create_primary ~batch:config.batch
-      ?journal:
-        (if config.reprotect then Some (fun _ r -> journal_append jp r)
-         else None)
-      eng ~out:duplex.Mailbox.a_to_b ~inb:duplex.Mailbox.b_to_a
+  let ml_ps =
+    Array.map
+      (fun d ->
+        Msglayer.create_primary ~batch:config.batch
+          ?journal:
+            (if config.reprotect then Some (fun _ r -> journal_append jp r)
+             else None)
+          eng ~out:d.Mailbox.a_to_b ~inb:d.Mailbox.b_to_a)
+      duplexes
   in
-  (match sink_opt with Some ls -> ls.ls_ml <- Some ml_p | None -> ());
+  (match sink_opt with Some ls -> ls.ls_ml <- Some ml_ps.(0) | None -> ());
+  (* With two backups the log fans out to both; output commit waits for a
+     quorum of one backup acknowledgement (a majority of the three
+     replicas), so any released output survives any single failure. *)
+  let group =
+    if single then None
+    else Some (Msglayer.create_group (Array.to_list ml_ps) ~quorum:1)
+  in
   (* Primary-side network stack (the paper's primary owns all devices). *)
   let nic, stack_p =
     match link with
@@ -897,37 +1123,75 @@ let create eng ?(config = default_config) ?link ~app () =
   let ns_p =
     Namespace.primary kernel_p
       ~sink:
-        (match sink_opt with
-        | Some ls -> sink_of_live_sink ls
-        | None -> Msglayer.sink_of_primary ml_p)
+        (match (group, sink_opt) with
+        | Some g, _ -> Msglayer.sink_of_group g
+        | None, Some ls -> sink_of_live_sink ls
+        | None, None -> Msglayer.sink_of_primary ml_ps.(0))
       ?stack:stack_p ~env:config.app_env ~det_shard:config.det_shard
       ~output_commit:config.output_commit ~ack_commit:config.ack_commit ()
   in
-  (* The launch procedure replicates the environment to the secondary so
-     both replicas start the application identically (3). *)
-  let ns_s =
-    Namespace.secondary kernel_s ~env:config.app_env
-      ~det_shard:config.det_shard ()
+  (* The launch procedure replicates the environment to the backups so
+     every replica starts the application identically (3). *)
+  let ns_bs =
+    Array.map
+      (fun k ->
+        Namespace.secondary k ~env:config.app_env ~det_shard:config.det_shard
+          ())
+      kernels_b
   in
-  let ml_s =
-    Msglayer.create_secondary ~batch:config.batch
-      ~chan_progress:(fun () -> Namespace.chan_progress ns_s)
-      ~chan_restore:(fun chans -> Namespace.chan_restore ns_s chans)
-      ?journal:
-        (if config.reprotect then Some (fun _ r -> journal_append jb r)
-         else None)
-      ~workers:config.replay_workers eng ~inb:duplex.Mailbox.a_to_b
-      ~out:duplex.Mailbox.b_to_a
-      ~replay_cost:config.kernel_config.Kernel.wake_latency
-      ~delta_cost:config.delta_replay_cost
-      ~handler:(fun record -> Namespace.record_handler ns_s record)
+  let ml_ss =
+    Array.mapi
+      (fun i d ->
+        let ns = ns_bs.(i) and jb = jbs.(i) in
+        Msglayer.create_secondary ~batch:config.batch
+          ~chan_progress:(fun () -> Namespace.chan_progress ns)
+          ~chan_restore:(fun chans -> Namespace.chan_restore ns chans)
+          ?journal:
+            (if config.reprotect then Some (fun _ r -> journal_append jb r)
+             else None)
+          ~workers:config.replay_workers eng ~inb:d.Mailbox.a_to_b
+          ~out:d.Mailbox.b_to_a
+          ~replay_cost:config.kernel_config.Kernel.wake_latency
+          ~delta_cost:config.delta_replay_cost
+          ~handler:(fun record -> Namespace.record_handler ns record))
+      duplexes
   in
-  Msglayer.spawn_primary_rx ml_p (fun name f ->
-      Kernel.spawn_thread kernel_p ~name f);
-  Msglayer.spawn_secondary_rx ml_s (fun name f ->
-      Kernel.spawn_thread kernel_s ~name f);
+  Array.iter
+    (fun ml ->
+      Msglayer.spawn_primary_rx ml (fun name f ->
+          Kernel.spawn_thread kernel_p ~name f))
+    ml_ps;
+  Array.iteri
+    (fun i ml ->
+      Msglayer.spawn_secondary_rx ml (fun name f ->
+          Kernel.spawn_thread kernels_b.(i) ~name f))
+    ml_ss;
+  let arb =
+    if single then None
+    else Some (Mailbox.duplex eng ~a:parts_b.(0) ~b:parts_b.(1) ())
+  in
   let d_p = Digest.create () in
-  let d_s = Digest.create () in
+  let d_bs = Array.map (fun _ -> Digest.create ()) parts_b in
+  let backups =
+    Array.mapi
+      (fun i part ->
+        {
+          idx = i;
+          part;
+          kernel = kernels_b.(i);
+          ml_p = ml_ps.(i);
+          ml_s = ml_ss.(i);
+          ns = ns_bs.(i);
+          joined = 0;
+          hb_p = None;
+          hb_s = None;
+          mon = None;
+          pair = Some (d_p, d_bs.(i));
+          journal = jbs.(i);
+          left = false;
+        })
+      parts_b
+  in
   let t =
     {
       eng;
@@ -936,81 +1200,55 @@ let create eng ?(config = default_config) ?link ~app () =
       app;
       nic;
       sink = sink_opt;
+      group;
+      arb;
       failover_done = Ivar.create ();
       part_p;
-      part_s;
       kernel_p;
-      kernel_s;
-      ml_p;
-      ml_s;
       ns_p;
-      ns_s;
-      hb_p = None;
-      hb_s = None;
-      backup_journal = jb;
+      epoch_joined_p = 0;
+      backups;
       lifecycle = Protected;
       epoch = 0;
       failovers = 0;
-      epoch_joined_p = 0;
-      epoch_joined_s = 0;
+      winner = None;
       transitions = [];
       subs = [];
       regen_gen = 0;
       switch_cutoff = None;
       degraded_at = None;
       digest_pairs = [];
-      cur_pair = Some (d_p, d_s);
-      all_ns = [ ns_s; ns_p ];
+      all_ns = Array.fold_left (fun acc ns -> ns :: acc) [ ns_p ] ns_bs;
       lagmons = [];
-      cur_mon = None;
       acc_msgs = 0;
       acc_bytes = 0;
       acc_records = 0;
       failover_started = None;
       failover_completed = None;
       primary_halted = None;
-      ph_detect = None;
+      phase = None;
     }
   in
-  start_heartbeats t ~epoch:0;
+  Array.iter (fun b -> start_heartbeats t b ~epoch:0) backups;
   (* Replication-health monitoring: closures over the message layer and the
      primary's Det channel cursors, all pure reads — see the determinism
-     contract in {!Lagmon}. *)
+     contract in {!Lagmon}.  One monitor per backup log. *)
   (match config.lagmon with
   | None -> ()
-  | Some lm_config -> start_lagmon_epoch0 t lm_config);
+  | Some lm_config ->
+      Array.iter
+        (fun b ->
+          let name = if single then "lag" else Printf.sprintf "lag.b%d" b.idx in
+          start_lagmon t b ~name lm_config)
+        backups);
   watch_primary t part_p;
-  (* Divergence checking: both replicas fold incremental state digests,
+  (* Divergence checking: every replica folds incremental state digests,
      compared snapshot-by-snapshot after the run (chaos campaigns). *)
   Namespace.attach_digest ns_p d_p;
-  Namespace.attach_digest ns_s d_s;
+  Array.iteri (fun i ns -> Namespace.attach_digest ns d_bs.(i)) ns_bs;
   ignore (Namespace.start_app ns_p app);
-  ignore (Namespace.start_app ns_s app);
+  Array.iter (fun ns -> ignore (Namespace.start_app ns app)) ns_bs;
   t
-
-let replica_set t =
-  {
-    Replica_set.rs_label = "cluster";
-    rs_state = (fun () -> t.lifecycle);
-    rs_epoch = (fun () -> t.epoch);
-    rs_members =
-      (fun () ->
-        [
-          {
-            Replica_set.m_role = Replica_set.Primary;
-            m_epoch = t.epoch_joined_p;
-            m_partition = t.part_p;
-          };
-          {
-            Replica_set.m_role = Replica_set.Backup;
-            m_epoch = t.epoch_joined_s;
-            m_partition = t.part_s;
-          };
-        ]);
-    rs_failovers = (fun () -> t.failovers);
-    rs_supports_reprotect = t.cfg.reprotect;
-    rs_reprotect = (fun () -> reprotect t);
-  }
 
 let kill t ~role ~at =
   ignore
@@ -1018,19 +1256,19 @@ let kill t ~role ~at =
          let part =
            match role with
            | Replica_set.Primary -> t.part_p
-           | Replica_set.Backup -> t.part_s
+           | Replica_set.Backup -> (
+               match
+                 Array.find_opt
+                   (fun b -> not (b.left || Partition.is_halted b.part))
+                   t.backups
+               with
+               | Some b -> b.part
+               | None -> t.backups.(0).part)
          in
          Machine.apply t.machine
            (Fault.at (Engine.now t.eng)
               ~partition_id:(Partition.id part)
               Fault.Core_failstop)))
-
-(* Deprecated pre-lifecycle entry point; targets the partition that is
-   primary at call time (identical to [kill ~role:Primary] for runs
-   without re-protection, where roles never move). *)
-let fail_primary t ~at =
-  Machine.inject t.machine
-    (Fault.at at ~partition_id:(Partition.id t.part_p) Fault.Core_failstop)
 
 (* {1 Baseline} *)
 

@@ -3,11 +3,30 @@
 
     [create] partitions a machine, boots one kernel per partition, wires the
     shared-memory message layer, launches the application replicated in an
-    FT-Namespace on both kernels, and starts heart-beat failure detection.
-    When the primary partition fails (inject via {!Ftsim_hw.Machine.inject}
-    or {!kill}), the secondary runs the full failover sequence: IPI-halt,
-    log drain, replay completion, NIC driver reload, TCP stack
-    reconstruction, switch to live execution.
+    FT-Namespace on every kernel, and starts heart-beat failure detection.
+    [config.replicas] sets the group's size (paper §6's configurable number
+    of replicas):
+
+    - [2]: a primary and one backup.  When the primary partition fails
+      (inject via {!Ftsim_hw.Machine.inject} or {!kill}), the backup runs
+      the full failover sequence: IPI-halt, log drain, replay completion,
+      NIC driver reload, TCP stack reconstruction, switch to live
+      execution.
+    - [3]: a half-size primary and two quarter-size backups.  The log fans
+      out to both through a {!Msglayer.group}; output commit waits for a
+      quorum of one backup acknowledgement (a majority of the three
+      replicas), so any released output survives any single failure.  A
+      backup failure disables it in the group (the primary continues
+      replicated to the other, and solo once both are gone).  A primary
+      failure starts the same failover sequence on both backups, with an
+      arbitration after the drain: they exchange received LSNs over a
+      backup-to-backup mailbox, the longer log wins and a tie goes to the
+      lower id.  The loser stands by, watching the winner with heartbeats
+      on that mailbox: if the winner dies before going live and the
+      standby's log is at least as long as the winner announced, the
+      standby takes over; otherwise it halts and the set is [Outage].
+      Once the winner is live the standby halts and leaves the members.
+      Re-protection is not supported with two backups.
 
     The set moves through the {!Replica_set.lifecycle} states:
 
@@ -42,6 +61,11 @@ type lifecycle = Replica_set.lifecycle =
 
 type config = {
   topology : Topology.spec;
+  replicas : int;
+      (** 2 (default: primary + backup) or 3 (primary + two backups,
+          quorum-1 output commit).  Three replicas need a symmetric
+          [split], no [reprotect], and a NUMA node count divisible by 4;
+          {!create} rejects other shapes. *)
   split : [ `Symmetric | `Asymmetric of int ];
       (** [`Asymmetric n]: n-core primary, 1-core secondary (§4.3) *)
   kernel_config : Kernel.config;
@@ -100,7 +124,7 @@ type config = {
 val default_config : config
 (** Paper testbed: 64-core/8-node machine split symmetrically, 0.55 µs
     mailbox, 10 ms heart-beats with 60 ms timeout, output commit on,
-    4.95 s driver load, re-protection off. *)
+    4.95 s driver load, two replicas, re-protection off. *)
 
 type t
 
@@ -108,7 +132,8 @@ val create :
   Engine.t -> ?config:config -> ?link:Link.endpoint -> app:Api.app -> unit -> t
 (** Build the machine and start the replicated application.  [link] attaches
     the (single, shared) NIC to the given link endpoint; omit it for
-    compute-only workloads. *)
+    compute-only workloads.  Raises [Invalid_argument] on a [config] shape
+    it cannot run (see [replicas]). *)
 
 (** {1 Lifecycle}
 
@@ -146,14 +171,19 @@ val reprotect : t -> unit
 
 val kill : t -> role:Replica_set.role -> at:Time.t -> unit
 (** Schedule a fail-stop core fault on the partition holding [role] {e at
-    fire time} (roles move across failovers and epoch switches). *)
+    fire time} (roles move across failovers and epoch switches).  With two
+    backups, [Backup] names the first one still up. *)
 
-val fail_primary : t -> at:Time.t -> unit
-(** @deprecated Pre-lifecycle entry point: schedules the fault against the
-    partition that is primary {e at call time}.  Use {!kill}. *)
+val members : t -> Replica_set.member list
+(** The primary, then each backup slot (dead ones included until replaced;
+    an arbitration loser that stood down is not listed). *)
 
-val replica_set : t -> Replica_set.t
-(** This cluster behind the uniform replica-set surface. *)
+val all_halted : t -> bool
+(** Every member's partition is halted — the outage test chaos judges
+    use. *)
+
+val winner : t -> int option
+(** The backup index that took over at the last failover. *)
 
 val switch_cutoff : t -> int option
 (** Journal length at the last epoch switch — the spliced backup's base
@@ -166,28 +196,36 @@ val backup_first_lsn : t -> int option
 
 (** {1 Topology accessors}
 
-    With re-protection, [primary_*] always name the partition currently
-    holding the primary role (roles swap at failover); without it they are
-    the fixed original assignment. *)
+    With re-protection or two backups, [primary_*] always name the
+    partition currently holding the primary role (roles swap at failover);
+    otherwise they are the fixed original assignment.  [secondary_*] name
+    backup 0. *)
 
 val machine : t -> Machine.t
 val primary_partition : t -> Partition.t
 val secondary_partition : t -> Partition.t
+val backup_partition : t -> int -> Partition.t
+(** [int] is the backup index (0, or 0 and 1 with three replicas). *)
+
 val primary_kernel : t -> Kernel.t
 val secondary_kernel : t -> Kernel.t
 val primary_namespace : t -> Namespace.t
 val secondary_namespace : t -> Namespace.t
 
+val backup_received_lsn : t -> int -> int
+(** Contiguous received-LSN watermark of the given backup's log. *)
+
 val failover_done : t -> unit Ivar.t
-(** Filled when the secondary has completed the {e first} takeover. *)
+(** Filled when a backup has completed the {e first} takeover. *)
 
 val lagmon : t -> Lagmon.t option
-(** The current epoch's replication-health monitor, when [config.lagmon]
-    enabled one. *)
+(** Backup 0's current-epoch replication-health monitor, when
+    [config.lagmon] enabled one. *)
 
 val lagmons : t -> (string * Lagmon.t) list
-(** Every epoch's monitor in creation order (["lag"], ["lag.e1"], …);
-    monitors of replaced epochs report {!Lagmon.verdict} [Retired]. *)
+(** Every monitor in creation order: ["lag"], ["lag.e1"], … per epoch with
+    one backup (monitors of replaced epochs report {!Lagmon.verdict}
+    [Retired]); ["lag.b0"], ["lag.b1"] with two. *)
 
 val failover_started_at : t -> Time.t option
 val failover_completed_at : t -> Time.t option
@@ -217,7 +255,7 @@ val records_sent : t -> int
     Every replica carries a {!Digest} recorder from launch; pairs replaced
     by a replica death are kept (bounded, on a failover, at the survivor's
     replay point — everything beyond it died unreplicated with the
-    primary) and compared alongside the live pair. *)
+    primary) and compared alongside the live pairs, one per backup. *)
 
 val compare_digests : t -> Digest.divergence option
 (** [None] means every epoch's digest pair agrees over its comparable

@@ -1,11 +1,6 @@
-(** The replica-lifecycle surface every replica set exposes.
-
-    {!Cluster} (a primary–backup pair with live re-protection) and
-    {!Tricluster} (a fan-out group with quorum stability) share this
-    vocabulary: a set is in one lifecycle state, runs at one epoch, and is
-    made of members each carrying [(role, epoch)].  Orchestration tools
-    (chaos campaigns, the CLI) drive either through this one record
-    instead of special-casing the topology. *)
+(** The replica-lifecycle vocabulary of a {!Cluster}: a set is in one
+    lifecycle state, runs at one epoch, and is made of members each
+    carrying [(role, epoch)]. *)
 
 open Ftsim_hw
 
@@ -31,32 +26,3 @@ type member = {
   m_epoch : int;  (** epoch at which this replica joined the set *)
   m_partition : Partition.t;
 }
-
-type t = {
-  rs_label : string;
-  rs_state : unit -> lifecycle;
-  rs_epoch : unit -> int;
-  rs_members : unit -> member list;
-  rs_failovers : unit -> int;
-  rs_supports_reprotect : bool;
-  rs_reprotect : unit -> unit;
-}
-
-val label : t -> string
-val state : t -> lifecycle
-val epoch : t -> int
-val members : t -> member list
-val failovers : t -> int
-
-val supports_reprotect : t -> bool
-
-val reprotect : t -> unit
-(** Ask the set to regenerate its dead replica now (no-op unless the set
-    is [Degraded] and supports re-protection). *)
-
-val partitions : t -> Partition.t list
-(** Current members' partitions (dead ones included until replaced). *)
-
-val all_halted : t -> bool
-(** True when every current member's partition is halted — the outage
-    test chaos judges use. *)

@@ -78,6 +78,29 @@ let split_symmetric t =
   in
   (a, b)
 
+let split_half_quarters t =
+  let total = Topology.total_cores t.spec in
+  let nodes = t.spec.Topology.numa_nodes in
+  if nodes mod 4 <> 0 then
+    invalid_arg "Machine.split_half_quarters: NUMA nodes must divide by 4";
+  let half_nodes = nodes / 2 and quarter_nodes = nodes / 4 in
+  let p =
+    add_partition t ~name:"primary" ~cores:(total / 2)
+      ~ram_bytes:(t.spec.Topology.ram_bytes / 2)
+      ~numa_nodes:(List.init half_nodes Fun.id)
+  in
+  let b i =
+    add_partition t
+      ~name:(Printf.sprintf "backup-%d" i)
+      ~cores:(total / 4)
+      ~ram_bytes:(t.spec.Topology.ram_bytes / 4)
+      ~numa_nodes:
+        (List.init quarter_nodes (fun k ->
+             half_nodes + (i * quarter_nodes) + k))
+  in
+  let b0 = b 0 in
+  (p, b0, b 1)
+
 let split_asymmetric t ~primary_cores =
   let total = Topology.total_cores t.spec in
   if primary_cores >= total then

@@ -22,6 +22,12 @@ val split_symmetric : t -> (Partition.t * Partition.t)
 (** The paper's default configuration: two symmetric partitions each holding
     half the cores, half the NUMA nodes and half the RAM. *)
 
+val split_half_quarters : t -> Partition.t * Partition.t * Partition.t
+(** Three replicas (paper §6): a primary holding half the cores, NUMA
+    nodes and RAM, and two backups ("backup-0", "backup-1") holding a
+    quarter each.  Raises [Invalid_argument] unless the NUMA node count
+    divides by 4. *)
+
 val split_asymmetric : t -> primary_cores:int -> (Partition.t * Partition.t)
 (** §4.3's configuration: a large primary partition and a secondary holding
     the remaining cores (e.g. 32 + 1 on a 33-core budget). *)

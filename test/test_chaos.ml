@@ -454,6 +454,39 @@ let test_chaos_run_clean () =
     (Chaos.verdict_failing o.Chaos.verdict);
   Alcotest.(check bool) "digest comparison exercised" true (o.Chaos.o_sections > 0)
 
+(* Three replicas, pinned to the shrunk repro of campaign schedule #815
+   (root seed 42, mongoose): both backups ack through the same LSN, so
+   backup 0 wins the arbitration tie and starts its driver reload — then
+   dies before going live.  Backup 1 holds the identical log: it must
+   detect the silent winner and take over, not stand by forever. *)
+let test_standby_takes_over_from_dead_winner () =
+  let base =
+    Chaos.derive ~root_seed:42 ~index:815 ~replicas:3 ~horizon:(Time.sec 3)
+  in
+  let fault at target =
+    {
+      Chaos.inj_at = at;
+      inj_target = target;
+      inj_kind = Ftsim_hw.Fault.Memory_uncorrected;
+      inj_disrupts = false;
+    }
+  in
+  let s =
+    {
+      base with
+      Chaos.injections =
+        [
+          fault (Time.ns 667_409) Chaos.T_primary;
+          fault (Time.ns 53_477_105) (Chaos.T_backup 0);
+        ];
+      perturbations = [];
+    }
+  in
+  let o = Chaosrun.run ~workload:Chaosrun.Mongoose ~replicas:3 s in
+  Alcotest.(check string) "verdict" "ok" (Chaos.verdict_label o.Chaos.verdict);
+  Alcotest.(check int) "every response served" 300 o.Chaos.o_completed;
+  Alcotest.(check int) "one takeover" 1 o.Chaos.o_failovers
+
 let test_chaos_parallel_replay_clean () =
   (* The same chaos machinery with four replay executors on the backup:
      whatever interleaving the executor pool picks, the per-channel digests
@@ -734,6 +767,8 @@ let () =
         [
           Alcotest.test_case "mutation flagged" `Quick test_mutation_flagged;
           Alcotest.test_case "derived schedule clean" `Quick test_chaos_run_clean;
+          Alcotest.test_case "standby takes over from a dead winner" `Quick
+            test_standby_takes_over_from_dead_winner;
           Alcotest.test_case "parallel replay clean" `Quick
             test_chaos_parallel_replay_clean;
           Alcotest.test_case "three-fault reprotect clean" `Quick

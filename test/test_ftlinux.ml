@@ -172,14 +172,14 @@ let echo_app (api : Api.t) =
   in
   serve ()
 
-let run_echo_scenario ?(config = test_config) ?pace ~fail_primary_at ~messages
+let run_echo_scenario ?(config = test_config) ?pace ~kill_primary_at ~messages
     eng =
   let link = gbit_link eng in
   let cluster =
     Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app:echo_app ()
   in
   let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  (match fail_primary_at with
+  (match kill_primary_at with
   | Some at -> Cluster.kill cluster ~role:Replica_set.Primary ~at
   | None -> ());
   let result = Ivar.create () in
@@ -211,7 +211,7 @@ let run_echo_scenario ?(config = test_config) ?pace ~fail_primary_at ~messages
 let test_replicated_echo () =
   let eng = Engine.create () in
   let messages = [ "alpha "; "beta "; "gamma" ] in
-  let cluster, result = run_echo_scenario ~fail_primary_at:None ~messages eng in
+  let cluster, result = run_echo_scenario ~kill_primary_at:None ~messages eng in
   Engine.run ~until:(Time.sec 10) eng;
   Cluster.shutdown cluster;
   match Ivar.peek result with
@@ -221,7 +221,7 @@ let test_replicated_echo () =
 let test_replication_traffic_flows () =
   let eng = Engine.create () in
   let cluster, result =
-    run_echo_scenario ~fail_primary_at:None ~messages:[ "ping" ] eng
+    run_echo_scenario ~kill_primary_at:None ~messages:[ "ping" ] eng
   in
   Engine.run ~until:(Time.sec 10) eng;
   Cluster.shutdown cluster;
@@ -236,7 +236,7 @@ let test_failover_echo_continues () =
   let eng = Engine.create () in
   let messages = List.init 30 (fun i -> Printf.sprintf "msg-%02d|" i) in
   let cluster, result =
-    run_echo_scenario ~fail_primary_at:(Some (Time.ms 120)) ~messages eng
+    run_echo_scenario ~kill_primary_at:(Some (Time.ms 120)) ~messages eng
   in
   Engine.run ~until:(Time.sec 30) eng;
   Cluster.shutdown cluster;
@@ -254,7 +254,7 @@ let test_failover_duration_dominated_by_driver () =
   let eng = Engine.create () in
   let messages = List.init 20 (fun i -> Printf.sprintf "m%d." i) in
   let cluster, _result =
-    run_echo_scenario ~fail_primary_at:(Some (Time.ms 100)) ~messages eng
+    run_echo_scenario ~kill_primary_at:(Some (Time.ms 100)) ~messages eng
   in
   Engine.run ~until:(Time.sec 30) eng;
   Cluster.shutdown cluster;
@@ -438,7 +438,7 @@ let test_whole_sim_deterministic () =
   let run () =
     let eng = Engine.create ~seed:123 () in
     let cluster, result =
-      run_echo_scenario ~fail_primary_at:(Some (Time.ms 120))
+      run_echo_scenario ~kill_primary_at:(Some (Time.ms 120))
         ~messages:(List.init 10 (fun i -> Printf.sprintf "d%d." i))
         eng
     in
@@ -670,81 +670,6 @@ let test_replicated_poll_server () =
   Alcotest.(check (option string)) "client 0 echoed" (Some "a1 a2 a3") results.(0);
   Alcotest.(check (option string)) "client 1 echoed" (Some "b1 b2") results.(1)
 
-(* {1 Voter (3-replica extension, paper 6)} *)
-
-let test_voter_majority () =
-  let v = Voter.create ~replicas:3 in
-  Voter.submit v ~replica:0 ~seq:0 42;
-  Alcotest.(check bool) "pending with one vote" true (Voter.verdict v ~seq:0 = Voter.Pending);
-  Voter.submit v ~replica:1 ~seq:0 42;
-  Alcotest.(check bool) "agreed at majority" true
-    (Voter.verdict v ~seq:0 = Voter.Agreed 42);
-  (* The laggard disagrees: flagged, decision unchanged. *)
-  Voter.submit v ~replica:2 ~seq:0 99;
-  Alcotest.(check bool) "decision stable" true (Voter.verdict v ~seq:0 = Voter.Agreed 42);
-  Alcotest.(check (list int)) "divergent replica flagged" [ 2 ] (Voter.divergent v)
-
-let test_voter_detects_corruption_mid_stream () =
-  let v = Voter.create ~replicas:3 in
-  (* Replica 1 silently corrupts from seq 5 on. *)
-  for seq = 0 to 9 do
-    for r = 0 to 2 do
-      let d = if r = 1 && seq >= 5 then 1000 + seq else 7 * seq in
-      Voter.submit v ~replica:r ~seq d
-    done
-  done;
-  Alcotest.(check int) "all outputs decided" 10 (Voter.decided_prefix v);
-  Alcotest.(check bool) "corrupt replica flagged" true (Voter.is_faulty v ~replica:1);
-  Alcotest.(check bool) "healthy replicas clean" true
-    ((not (Voter.is_faulty v ~replica:0)) && not (Voter.is_faulty v ~replica:2))
-
-let test_voter_inconsistent () =
-  let v = Voter.create ~replicas:3 in
-  Voter.submit v ~replica:0 ~seq:0 1;
-  Voter.submit v ~replica:1 ~seq:0 2;
-  Voter.submit v ~replica:2 ~seq:0 3;
-  Alcotest.(check bool) "three-way split has no majority" true
-    (Voter.verdict v ~seq:0 = Voter.Inconsistent)
-
-let test_voter_on_three_replica_outputs () =
-  (* Three standalone replicas of the same deterministic app; one gets a
-     bit flipped in its output stream.  The voter pins it. *)
-  let run_replica corrupt =
-    let eng = Engine.create ~seed:5 () in
-    let outputs = ref [] in
-    let app api =
-      let pt = api.Api.pt in
-      let m = Ftsim_kernel.Pthread.mutex_create pt in
-      let acc = ref 0 in
-      let ths =
-        List.init 3 (fun w ->
-            api.Api.thread.spawn (Printf.sprintf "w%d" w) (fun () ->
-                for i = 1 to 20 do
-                  api.Api.thread.compute (Time.us ((w * 13) + i));
-                  Ftsim_kernel.Pthread.mutex_lock pt m;
-                  acc := !acc + (w + 1);
-                  outputs := !acc :: !outputs;
-                  Ftsim_kernel.Pthread.mutex_unlock pt m
-                done))
-      in
-      List.iter api.Api.thread.join ths
-    in
-    let _sa =
-      Cluster.create_standalone eng ~topology:Topology.small ~app ()
-    in
-    Engine.run eng;
-    let outs = List.rev !outputs in
-    if corrupt then List.mapi (fun i x -> if i = 30 then x + 1 else x) outs
-    else outs
-  in
-  let streams = [ run_replica false; run_replica true; run_replica false ] in
-  let v = Voter.create ~replicas:3 in
-  List.iteri
-    (fun r stream -> List.iteri (fun seq d -> Voter.submit v ~replica:r ~seq d) stream)
-    streams;
-  Alcotest.(check int) "all 60 outputs decided" 60 (Voter.decided_prefix v);
-  Alcotest.(check (list int)) "corrupted replica excluded" [ 1 ] (Voter.divergent v)
-
 (* {1 Property: failover at an arbitrary moment is transparent} *)
 
 let prop_failover_any_time_exactly_once =
@@ -754,7 +679,7 @@ let prop_failover_any_time_exactly_once =
       let eng = Engine.create ~seed:fail_ms () in
       let messages = List.init 20 (fun i -> Printf.sprintf "p%02d|" i) in
       let cluster, result =
-        run_echo_scenario ~fail_primary_at:(Some (Time.ms fail_ms)) ~messages eng
+        run_echo_scenario ~kill_primary_at:(Some (Time.ms fail_ms)) ~messages eng
       in
       Engine.run ~until:(Time.sec 30) eng;
       Cluster.shutdown cluster;
@@ -1186,7 +1111,7 @@ let test_trace_tuple_lifecycle_invariants () =
 let test_trace_output_commit_after_ack () =
   let eng = Engine.create () in
   let messages = List.init 8 (fun i -> Printf.sprintf "o%d." i) in
-  let cluster, result = run_echo_scenario ~fail_primary_at:None ~messages eng in
+  let cluster, result = run_echo_scenario ~kill_primary_at:None ~messages eng in
   Engine.run ~until:(Time.sec 10) eng;
   Cluster.shutdown cluster;
   Alcotest.(check bool) "client finished" true (Ivar.peek result <> None);
@@ -1252,7 +1177,7 @@ let test_batch_boundary_failover () =
   in
   let cluster, result =
     run_echo_scenario ~config ~pace:(Time.ms 10)
-      ~fail_primary_at:(Some (Time.ms 124)) ~messages eng
+      ~kill_primary_at:(Some (Time.ms 124)) ~messages eng
   in
   Engine.run ~until:(Time.sec 30) eng;
   Cluster.shutdown cluster;
@@ -1323,7 +1248,7 @@ let test_trace_failover_phases () =
   let eng = Engine.create () in
   let messages = List.init 30 (fun i -> Printf.sprintf "f%02d|" i) in
   let cluster, _result =
-    run_echo_scenario ~fail_primary_at:(Some (Time.ms 120)) ~messages eng
+    run_echo_scenario ~kill_primary_at:(Some (Time.ms 120)) ~messages eng
   in
   Engine.run ~until:(Time.sec 30) eng;
   Cluster.shutdown cluster;
@@ -1726,7 +1651,7 @@ let test_lagmon_quiet_invisible () =
     let cluster, result =
       run_echo_scenario
         ~config:{ test_config with Cluster.lagmon }
-        ~fail_primary_at:(Some (Time.ms 120))
+        ~kill_primary_at:(Some (Time.ms 120))
         ~messages:(List.init 10 (fun i -> Printf.sprintf "d%d." i))
         eng
     in
@@ -1816,15 +1741,6 @@ let () =
         [
           Alcotest.test_case "replicated poll server" `Quick
             test_replicated_poll_server;
-        ] );
-      ( "voter",
-        [
-          Alcotest.test_case "majority" `Quick test_voter_majority;
-          Alcotest.test_case "corruption mid-stream" `Quick
-            test_voter_detects_corruption_mid_stream;
-          Alcotest.test_case "inconsistent" `Quick test_voter_inconsistent;
-          Alcotest.test_case "three replica outputs" `Quick
-            test_voter_on_three_replica_outputs;
         ] );
       ( "trace-invariants",
         [

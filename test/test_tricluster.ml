@@ -1,4 +1,5 @@
-(* Tests for the three-replica configuration (paper §6 extension). *)
+(* Tests for the three-replica configuration of {!Cluster} (paper §6
+   extension). *)
 
 open Ftsim_sim
 open Ftsim_hw
@@ -16,6 +17,7 @@ let test_config =
     hb_period = Time.ms 5;
     hb_timeout = Time.ms 25;
     driver_load_time = Time.ms 150;
+    replicas = 3;
   }
 
 let gbit_link eng = Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100) ()
@@ -67,42 +69,42 @@ let test_triple_replicates_to_both () =
   let eng = Engine.create () in
   let link = gbit_link eng in
   let t =
-    Tricluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
+    Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
       ~app:echo_app ()
   in
   let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
   let result = spawn_client eng client [ "one "; "two "; "three" ] in
   Engine.run ~until:(Time.sec 5) eng;
-  Tricluster.shutdown t;
+  Cluster.shutdown t;
   Alcotest.(check (option string)) "echo works" (Some "one two three")
     (Ivar.peek result);
   Alcotest.(check bool) "both backups received the log" true
-    (Tricluster.backup_received_lsn t 0 > 5
-    && Tricluster.backup_received_lsn t 1 > 5);
+    (Cluster.backup_received_lsn t 0 > 5
+    && Cluster.backup_received_lsn t 1 > 5);
   Alcotest.(check bool) "logs in step" true
-    (Tricluster.backup_received_lsn t 0 = Tricluster.backup_received_lsn t 1)
+    (Cluster.backup_received_lsn t 0 = Cluster.backup_received_lsn t 1)
 
 let test_triple_primary_failover () =
   let eng = Engine.create () in
   let link = gbit_link eng in
   let t =
-    Tricluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
+    Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
       ~app:echo_app ()
   in
-  Tricluster.fail_primary t ~at:(Time.ms 60);
+  Cluster.kill t ~role:Replica_set.Primary ~at:(Time.ms 60);
   let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
   let messages = List.init 25 (fun i -> Printf.sprintf "m%02d|" i) in
   let result = spawn_client eng client messages in
   Engine.run ~until:(Time.sec 20) eng;
-  Tricluster.shutdown t;
+  Cluster.shutdown t;
   Alcotest.(check (option string)) "stream exactly once across failover"
     (Some (String.concat "" messages))
     (Ivar.peek result);
-  (match Tricluster.winner t with
+  (match Cluster.winner t with
   | Some w -> Alcotest.(check bool) "a backup won" true (w = 0 || w = 1)
   | None -> Alcotest.fail "no winner");
   Alcotest.(check bool) "failover completed" true
-    (Ivar.is_filled (Tricluster.failover_done t))
+    (Ivar.is_filled (Cluster.failover_done t))
 
 let test_triple_double_sequential_failure () =
   (* Backup 0 dies first; the primary continues replicated to backup 1;
@@ -110,43 +112,103 @@ let test_triple_double_sequential_failure () =
   let eng = Engine.create () in
   let link = gbit_link eng in
   let t =
-    Tricluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
+    Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
       ~app:echo_app ()
   in
-  Tricluster.fail_backup t 0 ~at:(Time.ms 40);
-  Tricluster.fail_primary t ~at:(Time.ms 160);
+  Cluster.kill t ~role:Replica_set.Backup ~at:(Time.ms 40);
+  Cluster.kill t ~role:Replica_set.Primary ~at:(Time.ms 160);
   let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
   let messages = List.init 30 (fun i -> Printf.sprintf "d%02d|" i) in
   let result = spawn_client eng client messages in
   Engine.run ~until:(Time.sec 20) eng;
-  Tricluster.shutdown t;
+  Cluster.shutdown t;
   Alcotest.(check (option string)) "stream survives two failures"
     (Some (String.concat "" messages))
     (Ivar.peek result);
   Alcotest.(check (option int)) "the surviving backup won" (Some 1)
-    (Tricluster.winner t);
+    (Cluster.winner t);
   Alcotest.(check bool) "backup 0 is down" true
-    (Partition.is_halted (Tricluster.backup_partition t 0))
+    (Partition.is_halted (Cluster.backup_partition t 0))
 
 let test_triple_deterministic () =
   let run () =
     let eng = Engine.create ~seed:99 () in
     let link = gbit_link eng in
     let t =
-      Tricluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
+      Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
         ~app:echo_app ()
     in
-    Tricluster.fail_primary t ~at:(Time.ms 60);
+    Cluster.kill t ~role:Replica_set.Primary ~at:(Time.ms 60);
     let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
     let result =
       spawn_client eng client (List.init 10 (fun i -> Printf.sprintf "x%d." i))
     in
     Engine.run ~until:(Time.sec 15) eng;
-    Tricluster.shutdown t;
-    (Ivar.peek result, Tricluster.winner t,
-     Tricluster.backup_received_lsn t 0, Tricluster.backup_received_lsn t 1)
+    Cluster.shutdown t;
+    (Ivar.peek result, Cluster.winner t,
+     Cluster.backup_received_lsn t 0, Cluster.backup_received_lsn t 1)
   in
   Alcotest.(check bool) "two runs bit-identical" true (run () = run ())
+
+(* The failover sequence is the two-replica one: the same four pinned,
+   contiguous phase spans summing to the halt-to-live time, and the same
+   lifecycle bookkeeping. *)
+let test_triple_failover_phases () =
+  let eng = Engine.create () in
+  let link = gbit_link eng in
+  let t =
+    Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
+      ~app:echo_app ()
+  in
+  Cluster.kill t ~role:Replica_set.Primary ~at:(Time.ms 60);
+  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
+  let result =
+    spawn_client eng client (List.init 20 (fun i -> Printf.sprintf "p%02d|" i))
+  in
+  Engine.run ~until:(Time.sec 20) eng;
+  Cluster.shutdown t;
+  Alcotest.(check bool) "client finished" true (Ivar.is_filled result);
+  let evs = Evlog.events (Engine.evlog eng) in
+  let phase name =
+    match Evlog.Query.span_of ~comp:"ft.cluster" ~name evs with
+    | Some be -> be
+    | None -> Alcotest.failf "phase span %s missing from trace" name
+  in
+  let d0, d1 = phase "failover.detect" in
+  let r0, r1 = phase "failover.drain_replay" in
+  let v0, v1 = phase "failover.driver_reload" in
+  let g0, g1 = phase "failover.golive" in
+  Alcotest.(check bool) "phases are contiguous" true
+    (d1 = r0 && r1 = v0 && v1 = g0);
+  (match (Cluster.primary_halted_at t, Cluster.failover_completed_at t) with
+  | Some halt, Some live ->
+      Alcotest.(check int) "detect begins at the halt" halt d0;
+      Alcotest.(check int) "golive ends at completion" live g1;
+      let sum = d1 - d0 + (r1 - r0) + (v1 - v0) + (g1 - g0) in
+      Alcotest.(check bool) "phase durations sum to measured recovery" true
+        (abs (live - halt - sum) <= Time.ms 1)
+  | _ -> Alcotest.fail "failover did not run");
+  Alcotest.(check int) "one failover" 1 (Cluster.failover_count t);
+  Alcotest.(check bool) "Protected -> Degraded" true
+    (List.map
+       (fun tr -> (tr.Cluster.tr_from, tr.Cluster.tr_to))
+       (Cluster.transitions t)
+    = [ (Cluster.Protected, Cluster.Degraded) ])
+
+let test_rejects_unsupported_shapes () =
+  let rejects what config =
+    match Cluster.create (Engine.create ()) ~config ~app:echo_app () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  rejects "one replica" { test_config with replicas = 1 };
+  rejects "four replicas" { test_config with replicas = 4 };
+  rejects "three replicas with re-protection"
+    { test_config with reprotect = true };
+  rejects "three replicas with an asymmetric split"
+    { test_config with split = `Asymmetric 4 };
+  rejects "three replicas on 2 NUMA nodes"
+    { test_config with topology = Topology.small }
 
 let () =
   Alcotest.run "tricluster"
@@ -159,5 +221,9 @@ let () =
           Alcotest.test_case "double sequential failure" `Quick
             test_triple_double_sequential_failure;
           Alcotest.test_case "deterministic" `Quick test_triple_deterministic;
+          Alcotest.test_case "failover phases" `Quick
+            test_triple_failover_phases;
+          Alcotest.test_case "rejects unsupported shapes" `Quick
+            test_rejects_unsupported_shapes;
         ] );
     ]
