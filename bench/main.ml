@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§4).  One subcommand per figure; `all` (the default) runs the
    full evaluation.  Shapes, not absolute numbers, are the reproduction
-   target — see EXPERIMENTS.md for the paper-versus-measured record. *)
+   target — see EXPERIMENTS.md for the paper-versus-measured record.  Every
+   run is an Apps.Scenario; the shared flags come from Ftsim_cli.Cli. *)
 
 open Ftsim_sim
 open Ftsim_hw
@@ -9,11 +10,17 @@ open Ftsim_kernel
 open Ftsim_netstack
 open Ftsim_ftlinux
 open Ftsim_apps
+module Cli = Ftsim_cli.Cli
 
 let mib n = n * 1024 * 1024
 
 let hr title =
   Printf.printf "\n==== %s ====\n%!" title
+
+(* What the flags set for every experiment: [knobs] carries --batch-window /
+   --batch-bytes (the batch experiment's "on" config) and --replay-workers
+   (the scaling configs); [jobs] sizes chaos campaigns. *)
+type opts = { quick : bool; knobs : Cluster.config; jobs : int }
 
 (* Each experiment's engines are recorded at creation so the cross-stack
    metrics registries can be dumped to BENCH_<name>.json when it finishes.
@@ -22,16 +29,21 @@ let hr title =
    produce byte-identical files. *)
 let engines : Engine.t list ref = ref []
 
-(* Base path from --trace-out; each experiment writes its own trace next to
-   its BENCH_<name>.json, suffixed with the experiment name so a full run
-   does not overwrite itself. *)
-let trace_out : string option ref = ref None
-
 let new_engine () =
   let e = Engine.create () in
   engines := e :: !engines;
   e
 
+(* An experiment's summary engine is created first, so its gauges are
+   element 0 of BENCH_<name>.json — the slot the regression comparator
+   reads.  Returns its gauge setter. *)
+let summary_gauges () =
+  let reg = Engine.metrics (new_engine ()) in
+  fun key v -> Metrics.Gauge.set (Metrics.Registry.gauge reg key) v
+
+(* Base path from --trace-out; each experiment writes its own trace next to
+   its BENCH_<name>.json, suffixed with the experiment name so a full run
+   does not overwrite itself. *)
 let trace_path base name =
   let dir = Filename.dirname base and file = Filename.basename base in
   let stem, ext =
@@ -43,19 +55,6 @@ let trace_path base name =
         | None -> (file, ".json"))
   in
   Filename.concat dir (Printf.sprintf "%s_%s%s" stem name ext)
-
-let dump_trace name =
-  match (!trace_out, !engines) with
-  | None, _ | _, [] -> ()
-  | Some base, e :: _ ->
-      (* [engines] is newest-first; the head is the experiment's most
-         recently created (usually only) engine. *)
-      let path = trace_path base name in
-      let format =
-        if Filename.check_suffix path ".jsonl" then `Jsonl else `Chrome
-      in
-      (try Evlog.write_file (Engine.evlog e) ~format path
-       with Sys_error msg -> Printf.eprintf "bench: cannot write trace: %s\n" msg)
 
 let dump_bench name =
   let oc = open_out (Printf.sprintf "BENCH_%s.json" name) in
@@ -73,51 +72,89 @@ let dump_bench name =
 (* Host cost of one experiment, informational: wall seconds and the process's
    peak major heap so far.  Printed to stdout only, never into BENCH_*.json,
    so same-seed dumps stay byte-identical. *)
-let run_experiment name f quick =
+let run_experiment ~trace_out name f opts =
   engines := [];
   let wall0 = Unix.gettimeofday () in
-  f quick;
+  f opts;
   let wall = Unix.gettimeofday () -. wall0 in
   let top_words = (Gc.quick_stat ()).Gc.top_heap_words in
   Printf.printf "[host] %s: %.2f s wall, peak heap %.1f MiB\n%!" name wall
     (float_of_int (top_words * (Sys.word_size / 8)) /. 1048576.0);
   dump_bench name;
-  dump_trace name
+  (* [engines] is newest-first; the head is the experiment's most recently
+     created (usually only) engine. *)
+  match (trace_out, !engines) with
+  | Some base, e :: _ -> Cli.write_trace (Engine.evlog e) (trace_path base name)
+  | _ -> ()
 
-(* Step the engine in 100 ms slices until [stop ()] or the simulated cap,
-   so runs do not spin on heart-beat timers after the workload finishes. *)
-let drive eng ~cap ~stop =
-  let rec loop () =
-    if (not (stop ())) && Engine.now eng < cap then begin
-      Engine.run ~until:(min cap (Engine.now eng + Time.ms 100)) eng;
-      loop ()
-    end
-  in
-  loop ()
-
-let gbit_link eng =
-  Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100) ()
-
-let ft_config ?(mailbox_capacity = Mailbox.default_config.Mailbox.capacity)
-    ?(split = `Symmetric) ?(driver_load_time = Time.ms 4950) () =
+(* The paper testbed with a bounded mailbox ring of [capacity] slots. *)
+let mailbox capacity =
   {
     Cluster.default_config with
-    split;
-    driver_load_time;
-    mailbox_config =
-      { Mailbox.default_config with Mailbox.capacity = mailbox_capacity };
+    mailbox_config = { Mailbox.default_config with Mailbox.capacity };
   }
 
-let burst_capacity = 50_000_000
-(* Effectively unbounded buffering: the primary streams without ever waiting
-   for the secondary — the paper's "peak throughput attainable in a short
-   burst". *)
+let last_mark r = List.nth r.Scenario.marks (List.length r.Scenario.marks - 1)
+
+(* A compute workload to completion: the finish time ([cap] if it never
+   finished) and the report. *)
+let run_to_done eng server ~cap body =
+  let t_done, r = Scenario.run_to_completion eng server ~cap body in
+  (Option.value ~default:cap t_done, r)
+
+(* Closed-loop memcached clients: each does [iters] set+get pairs over
+   [keys] keys with fixed-size values, so every response has a known length
+   and the loop needs no protocol parser.  [ops] counts completed
+   operations; the returned test is true once every client has finished. *)
+let memcached_clients ~clients ~iters ~keys ops =
+  let finished = ref 0 in
+  let spawn host =
+    let value = String.make 64 'v' in
+    for cl = 0 to clients - 1 do
+      ignore
+        (Host.spawn host
+           (Printf.sprintf "mc-client-%d" cl)
+           (fun () ->
+             let c =
+               Tcp.connect (Host.stack host) ~host:Scenario.server_ip
+                 ~port:11211
+             in
+             let buf = Buffer.create 256 in
+             let read_exactly n =
+               while Buffer.length buf < n do
+                 match Tcp.recv c ~max:4096 with
+                 | [] -> raise Tcp.Connection_closed
+                 | cs -> Buffer.add_string buf (Payload.concat_to_string cs)
+               done;
+               Buffer.clear buf
+             in
+             (try
+                for i = 1 to iters do
+                  let key = Printf.sprintf "k%d-%d" cl (i mod keys) in
+                  Tcp.send c
+                    (Payload.of_string
+                       (Printf.sprintf "set %s %d\r\n%s" key
+                          (String.length value) value));
+                  read_exactly 8 (* STORED\r\n *);
+                  incr ops;
+                  Tcp.send c
+                    (Payload.of_string (Printf.sprintf "get %s\r\n" key));
+                  (* VALUE 64\r\n + 64 value bytes *)
+                  read_exactly (10 + String.length value);
+                  incr ops
+                done;
+                Tcp.send c (Payload.of_string "quit\r\n")
+              with Tcp.Connection_closed -> ());
+             incr finished))
+    done
+  in
+  (Scenario.Client spawn, fun () -> !finished = clients)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1: physical-memory classification under memcached           *)
 (* ------------------------------------------------------------------ *)
 
-let fig1 _quick =
+let fig1 _opts =
   hr "Figure 1: memory classification, memcached dataset sweep (96 GiB RAM)";
   Printf.printf "%-12s %10s %10s %10s\n" "multiplier" "Ignored%" "Delayed%" "User%";
   let multipliers = [ 3; 30; 60; 90; 120; 150; 180 ] in
@@ -137,7 +174,7 @@ let fig1 _quick =
 (* Section 2.3: what does a random memory error hit?                   *)
 (* ------------------------------------------------------------------ *)
 
-let sec23 _quick =
+let sec23 _opts =
   hr "Section 2.3: outcome of a random memory error (Monte Carlo, 100k hits)";
   Printf.printf "%-12s %14s %12s %12s
 " "multiplier" "kernel-fatal%" "recovered%"
@@ -171,11 +208,19 @@ let sec23 _quick =
 (* Figures 4 and 5: PBZIP2 block-size sweep                            *)
 (* ------------------------------------------------------------------ *)
 
-type pbzip2_result = {
-  pb_blocks_per_s : float;
-  pb_msgs_per_s : float;
-  pb_bytes_per_s : float;
-}
+(* One point of the Fig. 4-7 sweeps: application operations (blocks or
+   requests) and inter-replica traffic per second. *)
+type rates = { ops_per_s : float; msgs_per_s : float; bytes_per_s : float }
+
+(* The three columns of the sweeps: plain Linux, then FT-Linux with the
+   bounded 4096-slot ring (sustained) and with effectively unbounded
+   buffering (peak): the primary streams without ever waiting for the
+   secondary — the paper's "peak throughput attainable in a short
+   burst". *)
+let paper_server = function
+  | `Ubuntu -> Scenario.Plain None
+  | `Ft `Burst -> Replicated (mailbox 50_000_000)
+  | `Ft `Sustained -> Replicated (mailbox 4096)
 
 (* The sustained rate is the block-completion rate once buffering effects
    have settled: we time-stamp every committed block and measure the rate
@@ -199,6 +244,18 @@ let tail_rate series t_done =
       if t_first = infinity || t_end <= t_first then 0.0
       else blocks /. (t_end -. t_first)
 
+(* PBZIP2 with every committed block of the serving copy time-stamped;
+   returns the finish time, the series and the report. *)
+let run_pbzip2_series eng server ~params ~cap =
+  let series = Metrics.Series.create ~bucket:(Time.ms 250) in
+  let on_block_done _ = Metrics.Series.add series ~at:(Engine.now eng) 1.0 in
+  let dt, r =
+    run_to_done eng server ~cap (fun ~serving api ->
+        if serving then Pbzip2.run ~params ~on_block_done api
+        else Pbzip2.run ~params api)
+  in
+  (dt, series, r)
+
 let run_pbzip2 ~mode ~block_kb ~file_mb =
   let eng = new_engine () in
   let params =
@@ -208,47 +265,17 @@ let run_pbzip2 ~mode ~block_kb ~file_mb =
       block_bytes = block_kb * 1024;
     }
   in
-  let t_done = ref None in
-  let cap = Time.sec 600 in
-  let series = Metrics.Series.create ~bucket:(Time.ms 250) in
-  let on_block_done _ = Metrics.Series.add series ~at:(Engine.now eng) 1.0 in
-  match mode with
-  | `Ubuntu ->
-      let app api =
-        Pbzip2.run ~params ~on_block_done api;
-        t_done := Some (Engine.now eng)
-      in
-      let _sa = Cluster.create_standalone eng ~app () in
-      drive eng ~cap ~stop:(fun () -> !t_done <> None);
-      let dt = Option.value ~default:cap !t_done in
-      { pb_blocks_per_s = tail_rate series dt; pb_msgs_per_s = 0.; pb_bytes_per_s = 0. }
-  | `Ft kind ->
-      let mailbox_capacity =
-        match kind with `Burst -> burst_capacity | `Sustained -> 4096
-      in
-      let app api =
-        if Kernel.name api.Api.kernel = "primary" then begin
-          Pbzip2.run ~params ~on_block_done api;
-          t_done := Some (Engine.now eng)
-        end
-        else Pbzip2.run ~params api
-      in
-      let cluster =
-        Cluster.create eng ~config:(ft_config ~mailbox_capacity ()) ~app ()
-      in
-      drive eng ~cap ~stop:(fun () -> !t_done <> None);
-      let msgs = Cluster.traffic_msgs cluster in
-      let bytes = Cluster.traffic_bytes cluster in
-      Cluster.shutdown cluster;
-      let dt = Option.value ~default:cap !t_done in
-      let dts = Time.to_sec_f dt in
-      {
-        pb_blocks_per_s = tail_rate series dt;
-        pb_msgs_per_s = float_of_int msgs /. dts;
-        pb_bytes_per_s = float_of_int bytes /. dts;
-      }
+  let dt, series, r =
+    run_pbzip2_series eng (paper_server mode) ~params ~cap:(Time.sec 600)
+  in
+  let m = last_mark r and dts = Time.to_sec_f dt in
+  {
+    ops_per_s = tail_rate series dt;
+    msgs_per_s = float_of_int m.msgs /. dts;
+    bytes_per_s = float_of_int m.bytes /. dts;
+  }
 
-let fig4_5 quick =
+let fig4_5 { quick; _ } =
   let file_mb = if quick then 64 else 512 in
   hr
     (Printf.sprintf
@@ -268,9 +295,9 @@ let fig4_5 quick =
     "FT-sustained" "sust/Ubu%";
   List.iter
     (fun (kb, u, b, s) ->
-      Printf.printf "%-10d %12.0f %12.0f %14.0f %12.1f\n" kb u.pb_blocks_per_s
-        b.pb_blocks_per_s s.pb_blocks_per_s
-        (100. *. s.pb_blocks_per_s /. u.pb_blocks_per_s))
+      Printf.printf "%-10d %12.0f %12.0f %14.0f %12.1f\n" kb u.ops_per_s
+        b.ops_per_s s.ops_per_s
+        (100. *. s.ops_per_s /. u.ops_per_s))
     rows;
   Printf.printf
     "(paper: FT ~80%% of Ubuntu at 50-100 KB; peak tracks Ubuntu; sustained\n\
@@ -279,9 +306,9 @@ let fig4_5 quick =
   Printf.printf "%-10s %14s %14s %14s\n" "block(KB)" "msgs/s" "KB/s" "bytes/msg";
   List.iter
     (fun (kb, _u, b, _s) ->
-      Printf.printf "%-10d %14.0f %14.1f %14.1f\n" kb b.pb_msgs_per_s
-        (b.pb_bytes_per_s /. 1024.)
-        (if b.pb_msgs_per_s > 0. then b.pb_bytes_per_s /. b.pb_msgs_per_s else 0.))
+      Printf.printf "%-10d %14.0f %14.1f %14.1f\n" kb b.msgs_per_s
+        (b.bytes_per_s /. 1024.)
+        (if b.msgs_per_s > 0. then b.bytes_per_s /. b.msgs_per_s else 0.))
     rows;
   Printf.printf
     "(paper: ~34k msgs/s and 4.3 MB/s at 50 KB blocks; traffic grows\n\
@@ -291,66 +318,35 @@ let fig4_5 quick =
 (* Figures 6 and 7: Mongoose under ApacheBench, CPU-load sweep         *)
 (* ------------------------------------------------------------------ *)
 
-type mongoose_result = {
-  mg_req_per_s : float;
-  mg_msgs_per_s : float;
-  mg_bytes_per_s : float;
-}
+(* Closed-loop ApacheBench on [target] from the start, measured over
+   [warmup, warmup + window]. *)
+let ab_window eng server app ~target ~concurrency ~warmup ~window =
+  Scenario.run eng
+    (Scenario.make server app
+       (Ab { target; concurrency; start = None })
+       [ Until warmup; Until (warmup + window) ])
 
 let run_mongoose ~mode ~cpu_k ~warmup ~window ~concurrency =
   let eng = new_engine () in
-  let link = gbit_link eng in
   let cpu_per_request = Time.us 100 * (1 lsl cpu_k) in
-  let params =
-    { Mongoose.default_params with Mongoose.workers = 32; cpu_per_request }
+  let app =
+    Mongoose.run
+      ~params:
+        { Mongoose.default_params with Mongoose.workers = 32; cpu_per_request }
   in
-  let app api = Mongoose.run ~params api in
-  let cluster_opt =
-    match mode with
-    | `Ubuntu ->
-        let _sa =
-          Cluster.create_standalone eng ~link:(Link.endpoint_a link) ~app ()
-        in
-        None
-    | `Ft kind ->
-        let mailbox_capacity =
-          match kind with `Burst -> burst_capacity | `Sustained -> 4096
-        in
-        Some
-          (Cluster.create eng
-             ~config:(ft_config ~mailbox_capacity ())
-             ~link:(Link.endpoint_a link) ~app ())
+  let d =
+    Scenario.measured
+      (ab_window eng (paper_server mode) app ~target:"/page.html" ~concurrency ~warmup
+         ~window)
   in
-  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  let ab =
-    Loadgen.ab_start client ~server:"10.0.0.1" ~port:80 ~target:"/page.html"
-      ~concurrency ()
-  in
-  Engine.run ~until:warmup eng;
-  let stats = Loadgen.ab_stats ab in
-  let c0 = Metrics.Counter.value stats.Loadgen.completed in
-  let m0, b0 =
-    match cluster_opt with
-    | Some c -> (Cluster.traffic_msgs c, Cluster.traffic_bytes c)
-    | None -> (0, 0)
-  in
-  Engine.run ~until:(warmup + window) eng;
-  let c1 = Metrics.Counter.value stats.Loadgen.completed in
-  let m1, b1 =
-    match cluster_opt with
-    | Some c -> (Cluster.traffic_msgs c, Cluster.traffic_bytes c)
-    | None -> (0, 0)
-  in
-  Loadgen.ab_stop ab;
-  (match cluster_opt with Some c -> Cluster.shutdown c | None -> ());
   let w = Time.to_sec_f window in
   {
-    mg_req_per_s = float_of_int (c1 - c0) /. w;
-    mg_msgs_per_s = float_of_int (m1 - m0) /. w;
-    mg_bytes_per_s = float_of_int (b1 - b0) /. w;
+    ops_per_s = float_of_int d.ops /. w;
+    msgs_per_s = float_of_int d.msgs /. w;
+    bytes_per_s = float_of_int d.bytes /. w;
   }
 
-let fig6_7 quick =
+let fig6_7 { quick; _ } =
   let warmup = Time.ms 400 in
   let window = if quick then Time.ms 600 else Time.ms 1500 in
   let ks = if quick then [ 0; 4; 8 ] else [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] in
@@ -373,9 +369,9 @@ let fig6_7 quick =
     "FT-sustained" "sust/Ubu%";
   List.iter
     (fun (k, u, b, s) ->
-      Printf.printf "%-10d %12.0f %12.0f %14.0f %12.1f\n" k u.mg_req_per_s
-        b.mg_req_per_s s.mg_req_per_s
-        (100. *. s.mg_req_per_s /. u.mg_req_per_s))
+      Printf.printf "%-10d %12.0f %12.0f %14.0f %12.1f\n" k u.ops_per_s
+        b.ops_per_s s.ops_per_s
+        (100. *. s.ops_per_s /. u.ops_per_s))
     rows;
   Printf.printf
     "(paper: FT within 20%% of Ubuntu below ~1500 req/s, dropping sharply at\n\
@@ -384,9 +380,9 @@ let fig6_7 quick =
   Printf.printf "%-10s %14s %14s %12s\n" "cpu-load" "msgs/s" "KB/s" "req/s";
   List.iter
     (fun (k, _u, _b, s) ->
-      Printf.printf "%-10d %14.0f %14.1f %12.0f\n" k s.mg_msgs_per_s
-        (s.mg_bytes_per_s /. 1024.)
-        s.mg_req_per_s)
+      Printf.printf "%-10d %14.0f %14.1f %12.0f\n" k s.msgs_per_s
+        (s.bytes_per_s /. 1024.)
+        s.ops_per_s)
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -395,51 +391,38 @@ let fig6_7 quick =
 
 let run_sec43 ~mode =
   let eng = new_engine () in
-  let link = gbit_link eng in
-  let params =
-    {
-      Mongoose.default_params with
-      Mongoose.workers = 8;
-      cpu_per_request = Time.ms 1;
-    }
+  let app =
+    Mongoose.run
+      ~params:
+        {
+          Mongoose.default_params with
+          Mongoose.workers = 8;
+          cpu_per_request = Time.ms 1;
+        }
   in
-  let app api = Mongoose.run ~params api in
-  let kernel, cluster_opt =
+  let server =
     match mode with
-    | `Ubuntu ->
-        let sa =
-          Cluster.create_standalone eng ~cores:32 ~link:(Link.endpoint_a link)
-            ~app ()
-        in
-        (Cluster.standalone_kernel sa, None)
-    | `Ft ->
-        let c =
-          Cluster.create eng
-            ~config:(ft_config ~split:(`Asymmetric 32) ())
-            ~link:(Link.endpoint_a link) ~app ()
-        in
-        (Cluster.primary_kernel c, Some c)
+    | `Ubuntu -> Scenario.Plain (Some 32)
+    | `Ft -> Replicated { Cluster.default_config with split = `Asymmetric 32 }
   in
   (* The non-replicated application: saturates all 32 cores when alone. *)
-  let hog = Cpuhog.start kernel ~threads:32 in
-  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  let ab =
-    Loadgen.ab_start client ~server:"10.0.0.1" ~port:80 ~target:"/x"
-      ~concurrency:5 ()
+  let hog = ref None in
+  let r =
+    Scenario.run eng
+      (Scenario.make
+         ~setup:(fun env -> hog := Some (Cpuhog.start env.kernel ~threads:32))
+         server app
+         (Ab { target = "/x"; concurrency = 5; start = None })
+         [ Until (Time.ms 500); Until (Time.ms 2500) ])
   in
-  Engine.run ~until:(Time.ms 500) eng;
-  let stats = Loadgen.ab_stats ab in
-  let c0 = Metrics.Counter.value stats.Loadgen.completed in
-  Engine.run ~until:(Time.ms 2500) eng;
-  let c1 = Metrics.Counter.value stats.Loadgen.completed in
-  Loadgen.ab_stop ab;
-  Cpuhog.stop hog;
-  (match cluster_opt with Some c -> Cluster.shutdown c | None -> ());
-  let reqs = float_of_int (c1 - c0) /. 2.0 in
-  let lat_ms = Metrics.Hist.quantile stats.Loadgen.latency 0.5 *. 1000. in
+  Option.iter Cpuhog.stop !hog;
+  let reqs = float_of_int (Scenario.measured r).ops /. 2.0 in
+  let lat_ms =
+    Metrics.Hist.quantile (Scenario.ab_stats r).Loadgen.latency 0.5 *. 1000.
+  in
   (reqs, lat_ms)
 
-let sec43 _quick =
+let sec43 _opts =
   hr "Section 4.3: replicated Mongoose + non-replicated CPU hog (32+1 cores)";
   let u_req, u_lat = run_sec43 ~mode:`Ubuntu in
   let f_req, f_lat = run_sec43 ~mode:`Ft in
@@ -456,46 +439,42 @@ let sec43 _quick =
 (* Figure 8: large file transfer with mid-stream failover              *)
 (* ------------------------------------------------------------------ *)
 
+let fileserver_app ~file_mb =
+  Fileserver.run
+    ~params:
+      {
+        Fileserver.default_params with
+        Fileserver.file_bytes = mib file_mb;
+        chunk_bytes = 64 * 1024;
+      }
+
+(* One download to completion (or [cap]). *)
+let download eng ?(kills = []) server app ~target ~cap =
+  Scenario.run eng (Scenario.make ~kills server app (Wget target) [ Done cap ])
+
 let run_fig8 ~mode ~file_mb ~fail_at =
   let eng = new_engine () in
-  let link = gbit_link eng in
-  let params =
-    {
-      Fileserver.default_params with
-      Fileserver.file_bytes = mib file_mb;
-      chunk_bytes = 64 * 1024;
-    }
-  in
-  let app api = Fileserver.run ~params api in
-  let cluster_opt =
+  let server =
     match mode with
-    | `Ubuntu ->
-        let _sa =
-          Cluster.create_standalone eng ~link:(Link.endpoint_a link) ~app ()
-        in
-        None
-    | `Ft ->
-        Some
-          (Cluster.create eng ~config:(ft_config ()) ~link:(Link.endpoint_a link)
-             ~app ())
+    | `Ubuntu -> Scenario.Plain None
+    | `Ft -> Replicated Cluster.default_config
   in
-  (match (cluster_opt, fail_at) with
-  | Some c, Some at -> Cluster.kill c ~role:Replica_set.Primary ~at
-  | _ -> ());
-  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  let w =
-    Loadgen.wget_start client ~server:"10.0.0.1" ~port:80 ~target:"/file"
-      ~bucket:(Time.sec 1) ()
+  let kills =
+    Option.to_list (Option.map (fun at -> (Replica_set.Primary, at)) fail_at)
   in
-  drive eng ~cap:(Time.sec 240) ~stop:(fun () -> Ivar.is_filled w.Loadgen.total);
-  (match cluster_opt with Some c -> Cluster.shutdown c | None -> ());
+  let r =
+    download eng ~kills server (fileserver_app ~file_mb)
+      ~target:"/file" ~cap:(Time.sec 240)
+  in
+  let w = Scenario.wget r in
   let total = Option.value ~default:0 (Ivar.peek w.Loadgen.total) in
   let series = Metrics.Series.rate_per_sec w.Loadgen.bytes_received in
+  let cluster = r.env.cluster in
   (total, Time.to_sec_f (Engine.now eng), series,
-   Option.bind cluster_opt Cluster.failover_started_at,
-   Option.bind cluster_opt Cluster.failover_completed_at)
+   Option.bind cluster Cluster.failover_started_at,
+   Option.bind cluster Cluster.failover_completed_at)
 
-let fig8 quick =
+let fig8 { quick; _ } =
   let file_mb = if quick then 512 else 2048 in
   let fail_at = Time.sec (if quick then 2 else 6) in
   hr
@@ -553,35 +532,24 @@ let ablation_proximity () =
 " "link" "req/s" "p50 latency";
   List.iter
     (fun (label, delay) ->
-      let eng = Engine.create () in
-      let link = gbit_link eng in
       let config =
         {
-          (ft_config ()) with
+          Cluster.default_config with
           Cluster.mailbox_config =
             { Mailbox.default_config with Mailbox.propagation_delay = delay };
         }
       in
-      let app api =
-        Mongoose.run ~params:{ Mongoose.default_params with Mongoose.workers = 32 } api
+      let app =
+        Mongoose.run ~params:{ Mongoose.default_params with Mongoose.workers = 32 }
       in
-      let cluster = Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
-      let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-      let ab =
-        Loadgen.ab_start client ~server:"10.0.0.1" ~port:80 ~target:"/x"
-          ~concurrency:100 ()
+      let r =
+        ab_window (Engine.create ()) (Replicated config) app ~target:"/x"
+          ~concurrency:100 ~warmup:(Time.ms 300) ~window:(Time.sec 1)
       in
-      Engine.run ~until:(Time.ms 300) eng;
-      let st = Loadgen.ab_stats ab in
-      let c0 = Metrics.Counter.value st.Loadgen.completed in
-      Engine.run ~until:(Time.ms 1300) eng;
-      let c1 = Metrics.Counter.value st.Loadgen.completed in
-      Loadgen.ab_stop ab;
-      Cluster.shutdown cluster;
       Printf.printf "%-22s %12.0f %10.2fms
 " label
-        (float_of_int (c1 - c0))
-        (1000. *. Metrics.Hist.quantile st.Loadgen.latency 0.5))
+        (float_of_int (Scenario.measured r).ops)
+        (1000. *. Metrics.Hist.quantile (Scenario.ab_stats r).Loadgen.latency 0.5))
     [
       ("intra-machine 0.55us", Time.ns 550);
       ("RDMA-class 13.5us", Time.ns 13_500);
@@ -592,6 +560,16 @@ let ablation_proximity () =
     \ round-trips by ~2-3 orders of magnitude, taxing every output commit)
 "
 
+(* Transfer rate of one 512 MiB download, capped at 60 s. *)
+let download_rate server =
+  let eng = Engine.create () in
+  let r =
+    download eng server (fileserver_app ~file_mb:512) ~target:"/f"
+      ~cap:(Time.sec 60)
+  in
+  let total = Option.value ~default:0 (Ivar.peek (Scenario.wget r).Loadgen.total) in
+  float_of_int total /. Time.to_sec_f (Engine.now eng) /. 1e6
+
 (* B: output commit on/off (the relaxation of 3.5: inside one machine,
    messages already in the shared-memory ring survive the sender, so the
    primary may release output without waiting for acknowledgement). *)
@@ -600,31 +578,10 @@ let ablation_output_commit () =
   Printf.printf "%-22s %12s
 " "mode" "MB/s";
   List.iter
-    (fun (label, oc) ->
-      let eng = Engine.create () in
-      let link = gbit_link eng in
-      let config = { (ft_config ()) with Cluster.output_commit = oc; ack_commit = oc } in
-      let app api =
-        Fileserver.run
-          ~params:
-            {
-              Fileserver.default_params with
-              Fileserver.file_bytes = mib 512;
-              chunk_bytes = 64 * 1024;
-            }
-          api
-      in
-      let _c = Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
-      let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-      let w =
-        Loadgen.wget_start client ~server:"10.0.0.1" ~port:80 ~target:"/f" ()
-      in
-      drive eng ~cap:(Time.sec 60) ~stop:(fun () -> Ivar.is_filled w.Loadgen.total);
-      Cluster.shutdown _c;
-      let total = Option.value ~default:0 (Ivar.peek w.Loadgen.total) in
+    (fun (label, output_commit) ->
       Printf.printf "%-22s %12.1f
 " label
-        (float_of_int total /. Time.to_sec_f (Engine.now eng) /. 1e6))
+        (download_rate (Replicated { Cluster.default_config with output_commit })))
     [ ("strict (default)", true); ("relaxed", false) ]
 
 (* C: the wake_up_process replay cost — the secondary's serial bottleneck
@@ -635,10 +592,9 @@ let ablation_wake_latency () =
 " "wake (us)" "blocks/s";
   List.iter
     (fun us ->
-      let eng = Engine.create () in
       let config =
         {
-          (ft_config ()) with
+          Cluster.default_config with
           Cluster.kernel_config =
             { Kernel.default_config with Kernel.wake_latency = Time.us us };
         }
@@ -650,22 +606,10 @@ let ablation_wake_latency () =
           block_bytes = 25 * 1024;
         }
       in
-      let t_done = ref None in
-      let series = Metrics.Series.create ~bucket:(Time.ms 250) in
-      let app api =
-        if Kernel.name api.Api.kernel = "primary" then begin
-          Pbzip2.run ~params
-            ~on_block_done:(fun _ ->
-              Metrics.Series.add series ~at:(Engine.now eng) 1.0)
-            api;
-          t_done := Some (Engine.now eng)
-        end
-        else Pbzip2.run ~params api
+      let dt, series, _ =
+        run_pbzip2_series (Engine.create ()) (Replicated config) ~params
+          ~cap:(Time.sec 120)
       in
-      let cluster = Cluster.create eng ~config ~app () in
-      drive eng ~cap:(Time.sec 120) ~stop:(fun () -> !t_done <> None);
-      Cluster.shutdown cluster;
-      let dt = Option.value ~default:(Time.sec 120) !t_done in
       Printf.printf "%-12d %14.0f
 " us (tail_rate series dt))
     [ 15; 30; 55; 110 ]
@@ -676,54 +620,21 @@ let ablation_replica_count () =
   hr "Ablation D: replica count vs transfer rate (512 MiB over 1 Gb/s)";
   Printf.printf "%-22s %12s
 " "replicas" "MB/s";
-  let fileserver_app api =
-    Fileserver.run
-      ~params:
-        {
-          Fileserver.default_params with
-          Fileserver.file_bytes = mib 512;
-          chunk_bytes = 64 * 1024;
-        }
-      api
-  in
-  let measure label build =
-    let eng = Engine.create () in
-    let link = gbit_link eng in
-    let shutdown = build eng link in
-    let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-    let w = Loadgen.wget_start client ~server:"10.0.0.1" ~port:80 ~target:"/f" () in
-    drive eng ~cap:(Time.sec 60) ~stop:(fun () -> Ivar.is_filled w.Loadgen.total);
-    shutdown ();
-    let total = Option.value ~default:0 (Ivar.peek w.Loadgen.total) in
-    Printf.printf "%-22s %12.1f
-" label
-      (float_of_int total /. Time.to_sec_f (Engine.now eng) /. 1e6)
-  in
-  measure "1 (unreplicated)" (fun eng link ->
-      let _sa =
-        Cluster.create_standalone eng ~link:(Link.endpoint_a link)
-          ~app:fileserver_app ()
-      in
-      fun () -> ());
-  measure "2 (primary+backup)" (fun eng link ->
-      let c =
-        Cluster.create eng ~config:(ft_config ()) ~link:(Link.endpoint_a link)
-          ~app:fileserver_app ()
-      in
-      fun () -> Cluster.shutdown c);
-  measure "3 (quorum 1 of 2)" (fun eng link ->
-      let c =
-        Cluster.create eng
-          ~config:{ (ft_config ()) with Cluster.replicas = 3 }
-          ~link:(Link.endpoint_a link) ~app:fileserver_app ()
-      in
-      fun () -> Cluster.shutdown c);
+  List.iter
+    (fun (label, server) ->
+      Printf.printf "%-22s %12.1f
+" label (download_rate server))
+    [
+      ("1 (unreplicated)", Scenario.Plain None);
+      ("2 (primary+backup)", Replicated Cluster.default_config);
+      ("3 (quorum 1 of 2)", Replicated { Cluster.default_config with replicas = 3 });
+    ];
   Printf.printf
     "(with quorum-1 stability the third replica is nearly free on the
     \ output path: the faster backup's acknowledgement releases output)
 "
 
-let ablations _quick =
+let ablations _opts =
   ablation_proximity ();
   ablation_output_commit ();
   ablation_wake_latency ();
@@ -733,7 +644,7 @@ let ablations _quick =
 (* Microbenchmarks of the simulator's primitives (Bechamel)            *)
 (* ------------------------------------------------------------------ *)
 
-let micro _quick =
+let micro _opts =
   hr "Microbenchmarks: simulator primitives (host wall-clock, Bechamel OLS)";
   (* A small trace ring: the default one (2^20 slots, 8 MiB) is allocated
      per engine and would dominate every run below. *)
@@ -833,22 +744,12 @@ let micro _quick =
    count, runs each under the client-consistency oracle and the digest
    divergence checker, and reports the verdict distribution plus how much
    comparison surface (digest sections + per-thread syscall folds) each
-   campaign covered. *)
-(* --jobs: worker domains for chaos campaigns (0/unset = auto, all cores
-   but the coordinator's).  The merged report is byte-identical whatever
-   the value; only wall-clock changes. *)
-let jobs_override : int option ref = ref None
-
-let effective_jobs () =
-  match !jobs_override with
-  | Some n when n >= 1 -> n
-  | _ -> Chaos.default_jobs ()
-
-let chaos quick =
+   campaign covered.  --jobs sets the worker domains; the merged report is
+   byte-identical whatever the value, only wall-clock changes. *)
+let chaos { quick; jobs; _ } =
   hr "Chaos campaigns: randomized fault schedules + divergence checking";
   let count = if quick then 6 else 25 in
   let horizon = Time.sec 3 in
-  let jobs = effective_jobs () in
   let campaign ~replicas ~workload =
     let wall0 = Unix.gettimeofday () in
     let run = Chaosrun.run ~workload ~replicas in
@@ -898,11 +799,9 @@ let chaos quick =
    bench publishes — so the regress gate compares them with a wide
    tolerance, while report_identical is exact.  BENCH_chaosparallel.json is
    therefore NOT byte-stable across runs; CI must not cmp two runs of it. *)
-let chaosparallel quick =
+let chaosparallel { quick; _ } =
   hr "Chaos parallel: campaign seeds/sec vs worker domains";
-  let summary = new_engine () in
-  let reg = Engine.metrics summary in
-  let g key v = Metrics.Gauge.set (Metrics.Registry.gauge reg key) v in
+  let g = summary_gauges () in
   let count = if quick then 32 else 1000 in
   let horizon = Time.sec 3 in
   let run = Chaosrun.run ~workload:Chaosrun.Fileserver ~replicas:2 in
@@ -960,28 +859,6 @@ let chaosparallel quick =
    per-op gauges land in BENCH_batch.json and are the surface the
    bench-regress CI gate diffs against bench/baseline/. *)
 
-let batch_window_override : Time.t option ref = ref None
-let batch_bytes_override : int option ref = ref None
-
-(* --replay-workers: size the backups' replay-executor pools for any
-   experiment that builds clusters from [scaling_config] (default 1 = the
-   serial drain the committed baselines were recorded with). *)
-let replay_workers_override : int option ref = ref None
-
-let effective_replay_workers () =
-  match !replay_workers_override with Some n -> n | None -> 1
-
-let batch_on_config () =
-  let b = Msglayer.default_batch in
-  let b =
-    match !batch_window_override with
-    | Some w -> { b with Msglayer.batch_window = w }
-    | None -> b
-  in
-  match !batch_bytes_override with
-  | Some n -> { b with Msglayer.batch_bytes = n }
-  | None -> b
-
 type batch_row = {
   br_ops : float;
   br_msgs : float;
@@ -989,135 +866,64 @@ type batch_row = {
   br_dur : float;  (** seconds of simulated time covered by the counts *)
 }
 
-(* Closed-loop memcached clients: each does [iters] set+get pairs with
-   fixed-size values, so every response has a known length and the loop
-   needs no protocol parser. *)
+(* Counts over the whole run, [ops] operations. *)
+let whole_run r ops =
+  let m = last_mark r in
+  {
+    br_ops = float_of_int ops;
+    br_msgs = float_of_int m.msgs;
+    br_bytes = float_of_int m.bytes;
+    br_dur = Time.to_sec_f m.at;
+  }
+
 let run_batch_memcached ~batch ~iters ~clients =
   let eng = new_engine () in
-  let link = gbit_link eng in
-  let config = { (ft_config ()) with Cluster.batch } in
-  let cluster =
-    Cluster.create eng ~config ~link:(Link.endpoint_a link)
-      ~app:(fun api -> Memcached.server api)
-      ()
+  let ops = ref 0 in
+  let load, finished = memcached_clients ~clients ~iters ~keys:8 ops in
+  let r =
+    Scenario.run eng
+      (Scenario.make ~finished
+         (Replicated { Cluster.default_config with batch })
+         (fun api -> Memcached.server api)
+         load
+         [ Done (Time.sec 120) ])
   in
-  let host = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  let ops = ref 0 and finished = ref 0 in
-  let value = String.make 64 'v' in
-  for cl = 0 to clients - 1 do
-    ignore
-      (Host.spawn host
-         (Printf.sprintf "mc-client-%d" cl)
-         (fun () ->
-           let c = Tcp.connect (Host.stack host) ~host:"10.0.0.1" ~port:11211 in
-           let buf = Buffer.create 256 in
-           let read_exactly n =
-             while Buffer.length buf < n do
-               match Tcp.recv c ~max:4096 with
-               | [] -> raise Tcp.Connection_closed
-               | cs -> Buffer.add_string buf (Payload.concat_to_string cs)
-             done;
-             Buffer.clear buf
-           in
-           (try
-              for i = 1 to iters do
-                let key = Printf.sprintf "k%d-%d" cl (i mod 8) in
-                Tcp.send c
-                  (Payload.of_string
-                     (Printf.sprintf "set %s %d\r\n%s" key
-                        (String.length value) value));
-                read_exactly 8 (* STORED\r\n *);
-                incr ops;
-                Tcp.send c (Payload.of_string (Printf.sprintf "get %s\r\n" key));
-                (* VALUE 64\r\n + 64 value bytes *)
-                read_exactly (10 + String.length value);
-                incr ops
-              done;
-              Tcp.send c (Payload.of_string "quit\r\n")
-            with Tcp.Connection_closed -> ());
-           incr finished))
-  done;
-  drive eng ~cap:(Time.sec 120) ~stop:(fun () -> !finished = clients);
-  let msgs = Cluster.traffic_msgs cluster in
-  let bytes = Cluster.traffic_bytes cluster in
-  let dur = Time.to_sec_f (Engine.now eng) in
-  Cluster.shutdown cluster;
-  {
-    br_ops = float_of_int !ops;
-    br_msgs = float_of_int msgs;
-    br_bytes = float_of_int bytes;
-    br_dur = dur;
-  }
+  whole_run r !ops
 
 let run_batch_mongoose ~batch ~window =
   let eng = new_engine () in
-  let link = gbit_link eng in
-  let config = { (ft_config ()) with Cluster.batch } in
-  let app api =
-    Mongoose.run ~params:{ Mongoose.default_params with Mongoose.workers = 32 } api
+  let app =
+    Mongoose.run ~params:{ Mongoose.default_params with Mongoose.workers = 32 }
   in
-  let cluster = Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
-  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  let ab =
-    Loadgen.ab_start client ~server:"10.0.0.1" ~port:80 ~target:"/page.html"
-      ~concurrency:50 ()
+  let d =
+    Scenario.measured
+      (ab_window eng
+         (Replicated { Cluster.default_config with batch })
+         app ~target:"/page.html" ~concurrency:50 ~warmup:(Time.ms 300)
+         ~window)
   in
-  Engine.run ~until:(Time.ms 300) eng;
-  let st = Loadgen.ab_stats ab in
-  let c0 = Metrics.Counter.value st.Loadgen.completed in
-  let m0 = Cluster.traffic_msgs cluster and b0 = Cluster.traffic_bytes cluster in
-  Engine.run ~until:(Time.ms 300 + window) eng;
-  let c1 = Metrics.Counter.value st.Loadgen.completed in
-  let m1 = Cluster.traffic_msgs cluster and b1 = Cluster.traffic_bytes cluster in
-  Loadgen.ab_stop ab;
-  Cluster.shutdown cluster;
   {
-    br_ops = float_of_int (c1 - c0);
-    br_msgs = float_of_int (m1 - m0);
-    br_bytes = float_of_int (b1 - b0);
+    br_ops = float_of_int d.ops;
+    br_msgs = float_of_int d.msgs;
+    br_bytes = float_of_int d.bytes;
     br_dur = Time.to_sec_f window;
   }
 
 let run_batch_fileserver ~batch ~file_mb =
   let eng = new_engine () in
-  let link = gbit_link eng in
-  let chunk_bytes = 64 * 1024 in
-  let config = { (ft_config ()) with Cluster.batch } in
-  let app api =
-    Fileserver.run
-      ~params:
-        { Fileserver.default_params with
-          Fileserver.file_bytes = mib file_mb;
-          chunk_bytes;
-        }
-      api
+  let r =
+    download eng
+      (Replicated { Cluster.default_config with batch })
+      (fileserver_app ~file_mb) ~target:"/file" ~cap:(Time.sec 120)
   in
-  let cluster = Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
-  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  let w =
-    Loadgen.wget_start client ~server:"10.0.0.1" ~port:80 ~target:"/file" ()
-  in
-  drive eng ~cap:(Time.sec 120) ~stop:(fun () -> Ivar.is_filled w.Loadgen.total);
-  let msgs = Cluster.traffic_msgs cluster in
-  let bytes = Cluster.traffic_bytes cluster in
-  let dur = Time.to_sec_f (Engine.now eng) in
-  Cluster.shutdown cluster;
-  let total = Option.value ~default:0 (Ivar.peek w.Loadgen.total) in
+  let total = Option.value ~default:0 (Ivar.peek (Scenario.wget r).Loadgen.total) in
   (* One "op" is a 64 KiB chunk served. *)
-  {
-    br_ops = float_of_int (total / chunk_bytes);
-    br_msgs = float_of_int msgs;
-    br_bytes = float_of_int bytes;
-    br_dur = dur;
-  }
+  whole_run r (total / (64 * 1024))
 
-let batch quick =
+let batch { quick; knobs; _ } =
   hr "Batch: replication traffic, sync-tuple batching off vs on";
-  (* The summary engine is created first so its gauges are element 0 of
-     BENCH_batch.json — the slot the regression comparator reads. *)
-  let summary = new_engine () in
-  let reg = Engine.metrics summary in
-  let on = batch_on_config () in
+  let g = summary_gauges () in
+  let on = knobs.Cluster.batch in
   Printf.printf
     "batching: records<=%d, bytes<=%d, window=%s, ack_every=%d, ack_delay=%s\n"
     on.Msglayer.batch_records on.Msglayer.batch_bytes
@@ -1155,7 +961,6 @@ let batch quick =
         else 0.
       in
       Printf.printf "%-12s msgs/op reduction: %.1f%%\n" "" reduction;
-      let g key v = Metrics.Gauge.set (Metrics.Registry.gauge reg key) v in
       List.iter
         (fun (mode, r) ->
           g (Printf.sprintf "batch.%s.%s.ops" name mode) r.br_ops;
@@ -1192,17 +997,19 @@ type scaling_row = {
   sr_sections : int;
 }
 
-let det_overhead eng =
+let scaling_row eng ~ops ~dur =
   let reg = Engine.metrics eng in
   let h = Metrics.Registry.hist reg "det.lock_wait_ns" in
-  let wait_ms =
-    if Metrics.Hist.count h = 0 then 0.0
-    else float_of_int (Metrics.Hist.count h) *. Metrics.Hist.mean h /. 1e6
-  in
   let c k = Metrics.Counter.value (Metrics.Registry.counter reg k) in
-  ( wait_ms,
-    c "det.contended.misc" + c "det.contended.fs" + c "det.contended.obj",
-    c "det.sections" )
+  {
+    sr_ops_per_s = (if dur > 0. then float_of_int ops /. dur else 0.);
+    sr_lock_wait_ms =
+      (if Metrics.Hist.count h = 0 then 0.0
+       else float_of_int (Metrics.Hist.count h) *. Metrics.Hist.mean h /. 1e6);
+    sr_contended =
+      c "det.contended.misc" + c "det.contended.fs" + c "det.contended.obj";
+    sr_sections = c "det.sections";
+  }
 
 (* One frame per record and a small ring: the secondary's per-record
    replay charge makes it the slow side, so the primary hits mailbox
@@ -1211,21 +1018,20 @@ let det_overhead eng =
    one thread stalled flushing stalls all of them — and where per-channel
    streams let independent objects keep moving.  With the default batched
    sink appends only stage and never block in-section, so neither variant
-   would ever observe contention. *)
-let scaling_config ?replay_workers ~det_shard () =
-  let replay_workers =
-    match replay_workers with
-    | Some n -> n
-    | None -> effective_replay_workers ()
-  in
-  {
-    (ft_config ~mailbox_capacity:256 ()) with
-    Cluster.det_shard;
-    replay_workers;
-    batch = Msglayer.unbatched;
-  }
+   would ever observe contention.  --replay-workers sizes the backups'
+   replay pools (default 1, the serial drain the committed baselines were
+   recorded with). *)
+let scaling_server knobs ?(replay_workers = knobs.Cluster.replay_workers)
+    ~det_shard () =
+  Scenario.Replicated
+    {
+      (mailbox 256) with
+      Cluster.det_shard;
+      replay_workers;
+      batch = Msglayer.unbatched;
+    }
 
-let run_scaling_pbzip2 ?replay_workers ~det_shard ~workers ~file_mb () =
+let run_scaling_pbzip2 server ~workers ~file_mb =
   let eng = new_engine () in
   let params =
     {
@@ -1235,68 +1041,37 @@ let run_scaling_pbzip2 ?replay_workers ~det_shard ~workers ~file_mb () =
       workers;
     }
   in
-  let t_done = ref None in
-  let app api =
-    Pbzip2.run ~params api;
-    if Kernel.name api.Api.kernel = "primary" then
-      t_done := Some (Engine.now eng)
+  let dt, _ =
+    run_to_done eng server ~cap:(Time.sec 300) (fun ~serving:_ api ->
+        Pbzip2.run ~params api)
   in
-  let cluster =
-    Cluster.create eng
-      ~config:(scaling_config ?replay_workers ~det_shard ())
-      ~app ()
-  in
-  drive eng ~cap:(Time.sec 300) ~stop:(fun () -> !t_done <> None);
-  Cluster.shutdown cluster;
-  let dur = Time.to_sec_f (Option.value ~default:(Time.sec 300) !t_done) in
-  let wait_ms, contended, sections = det_overhead eng in
-  {
-    sr_ops_per_s = float_of_int (Pbzip2.block_count params) /. dur;
-    sr_lock_wait_ms = wait_ms;
-    sr_contended = contended;
-    sr_sections = sections;
-  }
+  scaling_row eng ~ops:(Pbzip2.block_count params) ~dur:(Time.to_sec_f dt)
 
 (* Pure compute, no shared sync objects beyond spawn/join: the control —
    sharding must not change it. *)
-let run_scaling_cpuhog ~det_shard ~threads ~slices =
+let run_scaling_cpuhog server ~threads ~slices =
   let eng = new_engine () in
-  let t_done = ref None in
-  let app (api : Api.t) =
-    let ths =
-      List.init threads (fun i ->
-          api.Api.thread.spawn
-            (Printf.sprintf "hog-%d" i)
-            (fun () ->
-              for _ = 1 to slices do
-                api.Api.thread.compute (Time.ms 1)
-              done))
-    in
-    List.iter api.Api.thread.join ths;
-    if Kernel.name api.Api.kernel = "primary" then
-      t_done := Some (Engine.now eng)
+  let dt, _ =
+    run_to_done eng server ~cap:(Time.sec 300) (fun ~serving:_ (api : Api.t) ->
+        let ths =
+          List.init threads (fun i ->
+              api.Api.thread.spawn
+                (Printf.sprintf "hog-%d" i)
+                (fun () ->
+                  for _ = 1 to slices do
+                    api.Api.thread.compute (Time.ms 1)
+                  done))
+        in
+        List.iter api.Api.thread.join ths)
   in
-  let cluster =
-    Cluster.create eng ~config:(scaling_config ~det_shard ()) ~app ()
-  in
-  drive eng ~cap:(Time.sec 300) ~stop:(fun () -> !t_done <> None);
-  Cluster.shutdown cluster;
-  let dur = Time.to_sec_f (Option.value ~default:(Time.sec 300) !t_done) in
-  let wait_ms, contended, sections = det_overhead eng in
-  {
-    sr_ops_per_s = float_of_int (threads * slices) /. dur;
-    sr_lock_wait_ms = wait_ms;
-    sr_contended = contended;
-    sr_sections = sections;
-  }
+  scaling_row eng ~ops:(threads * slices) ~dur:(Time.to_sec_f dt)
 
 (* The closed-loop memcached clients of the batch experiment, on a striped
    store: with [lock_stripes] > 1 each stripe's mutex is its own channel,
    so this is the workload where per-object channels have the most
    independent objects to spread over. *)
-let run_scaling_memcached ~det_shard ~workers ~iters ~clients =
+let run_scaling_memcached server ~workers ~iters ~clients =
   let eng = new_engine () in
-  let link = gbit_link eng in
   let params =
     {
       Memcached.default_params with
@@ -1304,65 +1079,20 @@ let run_scaling_memcached ~det_shard ~workers ~iters ~clients =
       lock_stripes = 8;
     }
   in
-  let cluster =
-    Cluster.create eng
-      ~config:(scaling_config ~det_shard ())
-      ~link:(Link.endpoint_a link)
-      ~app:(fun api -> Memcached.server ~params api)
-      ()
+  let ops = ref 0 in
+  let load, finished = memcached_clients ~clients ~iters ~keys:32 ops in
+  let r =
+    Scenario.run eng
+      (Scenario.make ~finished server
+         (fun api -> Memcached.server ~params api)
+         load
+         [ Done (Time.sec 120) ])
   in
-  let host = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  let ops = ref 0 and finished = ref 0 in
-  let value = String.make 64 'v' in
-  for cl = 0 to clients - 1 do
-    ignore
-      (Host.spawn host
-         (Printf.sprintf "mc-client-%d" cl)
-         (fun () ->
-           let c = Tcp.connect (Host.stack host) ~host:"10.0.0.1" ~port:11211 in
-           let buf = Buffer.create 256 in
-           let read_exactly n =
-             while Buffer.length buf < n do
-               match Tcp.recv c ~max:4096 with
-               | [] -> raise Tcp.Connection_closed
-               | cs -> Buffer.add_string buf (Payload.concat_to_string cs)
-             done;
-             Buffer.clear buf
-           in
-           (try
-              for i = 1 to iters do
-                let key = Printf.sprintf "k%d-%d" cl (i mod 32) in
-                Tcp.send c
-                  (Payload.of_string
-                     (Printf.sprintf "set %s %d\r\n%s" key
-                        (String.length value) value));
-                read_exactly 8 (* STORED\r\n *);
-                incr ops;
-                Tcp.send c (Payload.of_string (Printf.sprintf "get %s\r\n" key));
-                read_exactly (10 + String.length value);
-                incr ops
-              done;
-              Tcp.send c (Payload.of_string "quit\r\n")
-            with Tcp.Connection_closed -> ());
-           incr finished))
-  done;
-  drive eng ~cap:(Time.sec 120) ~stop:(fun () -> !finished = clients);
-  let dur = Time.to_sec_f (Engine.now eng) in
-  Cluster.shutdown cluster;
-  let wait_ms, contended, sections = det_overhead eng in
-  {
-    sr_ops_per_s = (if dur > 0. then float_of_int !ops /. dur else 0.);
-    sr_lock_wait_ms = wait_ms;
-    sr_contended = contended;
-    sr_sections = sections;
-  }
+  scaling_row eng ~ops:!ops ~dur:(Time.to_sec_f (last_mark r).at)
 
-let scaling quick =
+let scaling { quick; knobs; _ } =
   hr "Scaling: det-section sharding off vs on (per-object channels)";
-  (* Summary engine first: its gauges are element 0 of BENCH_scaling.json,
-     the slot the regression comparator reads. *)
-  let summary = new_engine () in
-  let reg = Engine.metrics summary in
+  let g = summary_gauges () in
   let worker_counts = if quick then [ 8; 16 ] else [ 8; 16; 32 ] in
   let pb_file_mb = if quick then 16 else 64 in
   let hog_slices = if quick then 100 else 400 in
@@ -1370,17 +1100,15 @@ let scaling quick =
   let workloads =
     [
       ( "pbzip2",
-        fun ~det_shard w ->
-          run_scaling_pbzip2 ~det_shard ~workers:w ~file_mb:pb_file_mb () );
+        fun server w -> run_scaling_pbzip2 server ~workers:w ~file_mb:pb_file_mb );
       ( "cpuhog",
-        fun ~det_shard w ->
-          run_scaling_cpuhog ~det_shard ~threads:w ~slices:hog_slices );
+        fun server w -> run_scaling_cpuhog server ~threads:w ~slices:hog_slices );
       ( "memcached",
-        fun ~det_shard w ->
+        fun server w ->
           (* Closed-loop clients: concurrency must scale with the server's
              workers or the offered load never reaches the backpressure
              knee. *)
-          run_scaling_memcached ~det_shard ~workers:w ~iters:mc_iters
+          run_scaling_memcached server ~workers:w ~iters:mc_iters
             ~clients:(2 * w) );
     ]
   in
@@ -1390,8 +1118,8 @@ let scaling quick =
     (fun (name, run) ->
       List.iter
         (fun w ->
-          let off = run ~det_shard:false w in
-          let on = run ~det_shard:true w in
+          let off = run (scaling_server knobs ~det_shard:false ()) w in
+          let on = run (scaling_server knobs ~det_shard:true ()) w in
           let row mode r =
             Printf.printf "%-12s %8d %-5s %12.0f %14.2f %10d %10d\n" name w
               mode r.sr_ops_per_s r.sr_lock_wait_ms r.sr_contended
@@ -1407,8 +1135,7 @@ let scaling quick =
           Printf.printf
             "%-12s %8s shard: %+.1f%% ops/s, lock wait %.2f -> %.2f ms\n" ""
             "" gain off.sr_lock_wait_ms on.sr_lock_wait_ms;
-          let g key v = Metrics.Gauge.set (Metrics.Registry.gauge reg key) v in
-          List.iter
+              List.iter
             (fun (mode, r) ->
               g
                 (Printf.sprintf "scaling.%s.w%d.%s.ops_per_sec" name w mode)
@@ -1438,12 +1165,9 @@ let scaling quick =
    the primary and ops/s flatlines from 16 workers up.  This sweep holds
    the workload fixed and varies only the executor-pool size, so the rw1
    column IS the serial baseline the rw4+ columns must beat. *)
-let replay quick =
+let replay { quick; knobs; _ } =
   hr "Replay: serial drain vs parallel replay executors (pbzip2, shard on)";
-  (* Summary engine first: its gauges are element 0 of BENCH_replay.json,
-     the slot the regression comparator reads. *)
-  let summary = new_engine () in
-  let reg = Engine.metrics summary in
+  let g = summary_gauges () in
   let worker_counts = if quick then [ 8; 16 ] else [ 8; 16; 32 ] in
   let rw_counts = [ 1; 4 ] in
   let pb_file_mb = if quick then 16 else 64 in
@@ -1455,16 +1179,16 @@ let replay quick =
         List.map
           (fun rw ->
             ( rw,
-              run_scaling_pbzip2 ~replay_workers:rw ~det_shard:true ~workers:w
-                ~file_mb:pb_file_mb () ))
+              run_scaling_pbzip2
+                (scaling_server knobs ~replay_workers:rw ~det_shard:true ())
+                ~workers:w ~file_mb:pb_file_mb ))
           rw_counts
       in
       List.iter
         (fun (rw, r) ->
           Printf.printf "%-8d %14d %12.0f %14.2f %10d\n" w rw r.sr_ops_per_s
             r.sr_lock_wait_ms r.sr_sections;
-          let g key v = Metrics.Gauge.set (Metrics.Registry.gauge reg key) v in
-          g
+              g
             (Printf.sprintf "replay.pbzip2.w%d.rw%d.ops_per_sec" w rw)
             r.sr_ops_per_s)
         results;
@@ -1477,10 +1201,7 @@ let replay quick =
           in
           Printf.printf "%-8s %14s parallel: %+.1f%% ops/s vs serial drain\n"
             "" "" gain;
-          Metrics.Gauge.set
-            (Metrics.Registry.gauge reg
-               (Printf.sprintf "replay.pbzip2.w%d.parallel_gain_pct" w))
-            gain
+          g (Printf.sprintf "replay.pbzip2.w%d.parallel_gain_pct" w) gain
       | _ -> ())
     worker_counts;
   Printf.printf
@@ -1498,13 +1219,9 @@ let replay quick =
    percentiles land in latency.* gauges whose *_ms suffixes the regression
    gate treats as lower-is-better, so a tail-latency regression through
    failover fails CI like a throughput regression would. *)
-let latency quick =
+let latency { quick; _ } =
   hr "Latency: p50/p99/p999 through replica death (mongoose, closed loop)";
-  (* Summary engine first: its gauges are element 0 of BENCH_latency.json,
-     the slot the regression comparator reads. *)
-  let summary = new_engine () in
-  let reg = Engine.metrics summary in
-  let g key v = Metrics.Gauge.set (Metrics.Registry.gauge reg key) v in
+  let g = summary_gauges () in
   let concurrency = if quick then 8 else 16 in
   let run_for = Time.ms (if quick then 1800 else 2400) in
   let eng = new_engine () in
@@ -1519,14 +1236,12 @@ let latency quick =
   let phase name h =
     g (Printf.sprintf "latency.%s.count" name)
       (float_of_int (Metrics.Hist.count h));
-    if Metrics.Hist.count h > 0 then begin
-      g (Printf.sprintf "latency.%s.p50_ms" name) (Metrics.Hist.quantile h 0.5);
-      g (Printf.sprintf "latency.%s.p90_ms" name) (Metrics.Hist.quantile h 0.9);
-      g (Printf.sprintf "latency.%s.p99_ms" name) (Metrics.Hist.quantile h 0.99);
-      g
-        (Printf.sprintf "latency.%s.p999_ms" name)
-        (Metrics.Hist.quantile h 0.999)
-    end
+    List.iter
+      (fun (q, key) ->
+        Option.iter
+          (g (Printf.sprintf "latency.%s.%s" name key))
+          (Scenario.quantile h q))
+      [ (0.5, "p50_ms"); (0.9, "p90_ms"); (0.99, "p99_ms"); (0.999, "p999_ms") ]
   in
   phase "pre" r.Slo.pre;
   phase "fo" r.Slo.fo;
@@ -1551,33 +1266,24 @@ let latency quick =
    record stream and the fresh backup replays.  A Memlayout with a large
    User class stretches the copy window so the transfer phase is long
    enough to hold a measurable request count. *)
-let reprotect quick =
+let reprotect { quick; _ } =
   hr "Re-protection: online backup regeneration under load (mongoose)";
-  (* Summary engine first: its gauges are element 0 of BENCH_reprotect.json,
-     the slot the regression comparator reads. *)
-  let summary = new_engine () in
-  let reg = Engine.metrics summary in
-  let g key v = Metrics.Gauge.set (Metrics.Registry.gauge reg key) v in
+  let g = summary_gauges () in
   let eng = new_engine () in
-  let link = gbit_link eng in
   let user_mb = if quick then 384 else 768 in
   let concurrency = if quick then 8 else 16 in
   let layout = Memlayout.create ~ram_bytes:(4 * 1024 * mib 1) in
   Memlayout.alloc_user layout (user_mb * mib 1);
   let config =
     {
-      Cluster.default_config with
-      Cluster.topology = Topology.small;
-      hb_period = Time.ms 5;
-      hb_timeout = Time.ms 25;
-      driver_load_time = Time.ms 200;
+      Scenario.fast_failover with
       lagmon = Some { Lagmon.default_config with Lagmon.quiet = true };
       reprotect = true;
       regen_delay = Time.ms 50;
       regen_layout = Some layout;
     }
   in
-  let app api =
+  let app =
     Mongoose.run
       ~params:
         {
@@ -1585,48 +1291,42 @@ let reprotect quick =
           Mongoose.page_bytes = 10 * 1024;
           cpu_per_request = Time.us 200;
         }
-      api
   in
-  let cluster =
-    Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app ()
-  in
-  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  let ab =
-    Loadgen.ab_start client ~server:"10.0.0.1" ~port:80 ~target:"/"
-      ~concurrency ()
-  in
-  let st = Loadgen.ab_stats ab in
-  let completed () = Metrics.Counter.value st.Loadgen.completed in
   (* Phase boundaries come from the lifecycle API: the transfer window is
      [Regenerating .. Protected], sampled exactly at the transitions. *)
   let t_regen = ref None and c_regen = ref 0 in
   let t_prot = ref None and c_prot = ref 0 in
-  Cluster.on_transition cluster (fun tr ->
-      match tr.Cluster.tr_to with
-      | Cluster.Regenerating ->
-          if !t_regen = None then begin
-            t_regen := Some tr.Cluster.tr_at;
-            c_regen := completed ()
-          end
-      | Cluster.Protected when tr.Cluster.tr_from = Cluster.Regenerating ->
-          if !t_prot = None then begin
-            t_prot := Some tr.Cluster.tr_at;
-            c_prot := completed ()
-          end
-      | _ -> ());
+  let setup (env : Scenario.env) =
+    Cluster.on_transition (Option.get env.cluster) (fun tr ->
+        match tr.Cluster.tr_to with
+        | Cluster.Regenerating ->
+            if !t_regen = None then begin
+              t_regen := Some tr.Cluster.tr_at;
+              c_regen := env.ops ()
+            end
+        | Cluster.Protected when tr.Cluster.tr_from = Cluster.Regenerating ->
+            if !t_prot = None then begin
+              t_prot := Some tr.Cluster.tr_at;
+              c_prot := env.ops ()
+            end
+        | _ -> ())
+  in
   let warmup = Time.ms 300 and kill_at = Time.ms 800 in
-  Cluster.kill cluster ~role:Replica_set.Primary ~at:kill_at;
-  Engine.run ~until:warmup eng;
-  let c0 = completed () in
-  Engine.run ~until:kill_at eng;
-  let c1 = completed () in
-  drive eng ~cap:(Time.sec 6) ~stop:(fun () -> !t_prot <> None);
-  let post_from = Engine.now eng in
-  let c2 = completed () in
-  Engine.run ~until:(post_from + Time.ms 500) eng;
-  let c3 = completed () in
-  Loadgen.ab_stop ab;
-  Cluster.shutdown cluster;
+  let r =
+    Scenario.run eng
+      (Scenario.make ~setup
+         ~kills:[ (Replica_set.Primary, kill_at) ]
+         ~finished:(fun () -> !t_prot <> None)
+         (Replicated config) app
+         (Ab { target = "/"; concurrency; start = None })
+         [ Until warmup; Until kill_at; Done (Time.sec 6); For (Time.ms 500) ])
+  in
+  let cluster = Scenario.cluster r in
+  let c0, c1, c2, c3 =
+    match List.map (fun m -> m.Scenario.ops) r.marks with
+    | [ c0; c1; c2; c3 ] -> (c0, c1, c2, c3)
+    | _ -> assert false
+  in
   let rate c c' w = float_of_int (c' - c) /. Time.to_sec_f w in
   let pre = rate c0 c1 (kill_at - warmup) in
   let post = rate c2 c3 (Time.ms 500) in
@@ -1682,21 +1382,18 @@ let reprotect quick =
    nominal concurrency target so the connections completed before the
    arrival window closes don't drag the high-water mark below the target.
    Every gauge derives from simulated time and deterministic counters, so
-   two same-seed runs produce byte-identical BENCH_c10k.json. *)
-let c10k quick =
+   two same-seed runs produce byte-identical BENCH_c10k.json.  A phase
+   without completions prints as "-"; its p999 gauge stays 0 (the
+   committed baseline was recorded that way). *)
+let c10k { quick; _ } =
   hr "C10K: open-loop arrivals through replica death (sharded listeners)";
-  (* Summary engine first: its gauges are element 0 of BENCH_c10k.json,
-     the slot the regression comparator reads. *)
-  let summary = new_engine () in
-  let reg = Engine.metrics summary in
-  let g key v = Metrics.Gauge.set (Metrics.Registry.gauge reg key) v in
+  let g = summary_gauges () in
   let tiers = if quick then [ 1_000; 2_500 ] else [ 1_000; 5_000; 10_000 ] in
   let kill_at = Time.ms 600 in
   let run_tier target =
     let conns = target + (target / 10) in
     let rate = 2.0 *. float_of_int target in
     let eng = new_engine () in
-    let link = gbit_link eng in
     let params =
       {
         Mongoose.default_params with
@@ -1721,56 +1418,25 @@ let c10k quick =
         admission = Some 16;
       }
     in
-    let app api = Mongoose.run ~params api in
-    (* Fast-failover timings from the SLO config, but on the full paper
-       testbed topology: C10K-scale concurrency needs the 64-core machine —
-       on [Topology.small] the workers' computes starve packet processing
+    (* Fast-failover timings, but on the full paper testbed topology:
+       C10K-scale concurrency needs the 64-core machine — on
+       [Topology.small] the workers' computes starve packet processing
        through the FIFO quantum scheduler and the admission window never
        fills. *)
     let config =
-      { Slo.default_config with Cluster.topology = Topology.opteron_testbed }
+      { Scenario.fast_failover with Cluster.topology = Topology.opteron_testbed }
     in
-    let cluster =
-      Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app ()
+    let r =
+      Scenario.run eng
+        (Scenario.make
+           ~kills:[ (Replica_set.Primary, kill_at) ]
+           ~drain:(Time.ms 100) (Replicated config) (Mongoose.run ~params)
+           (* Let the server boot and listen before arrivals begin. *)
+           (Ol { target = "/"; rate; conns; seed = 7; start = Time.ms 200 })
+           [ Done (Time.sec 90) ])
     in
-    Cluster.kill cluster ~role:Replica_set.Primary ~at:kill_at;
-    let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-    (* Let the server boot and listen before arrivals begin. *)
-    Engine.run ~until:(Time.ms 200) eng;
-    let completions = ref [] in
-    let ol =
-      Loadgen.ol_start client ~server:"10.0.0.1" ~port:80 ~target:"/"
-        ~rate ~conns ~poisson:true ~seed:7
-        ~on_complete:(fun ~at ~latency ->
-          completions := (at, latency) :: !completions)
-        ()
-    in
-    drive eng ~cap:(Time.sec 90) ~stop:(fun () ->
-        Ivar.is_filled (Loadgen.ol_done ol));
-    Cluster.shutdown cluster;
-    Engine.run ~until:(Engine.now eng + Time.ms 100) eng;
+    let ol = Scenario.ol r in
     let st = Loadgen.ol_stats ol in
-    let evs = Evlog.events (Engine.evlog eng) in
-    let window =
-      match
-        ( Evlog.Query.span_of ~comp:"ft.cluster" ~name:"failover.detect" evs,
-          Evlog.Query.span_of ~comp:"ft.cluster" ~name:"failover.golive" evs )
-      with
-      | Some (d0, _), Some (_, g1) -> Some (d0, g1)
-      | _ -> None
-    in
-    let pre = Metrics.Hist.create ()
-    and fo = Metrics.Hist.create ()
-    and post = Metrics.Hist.create () in
-    List.iter
-      (fun (at, dt) ->
-        let h =
-          match window with
-          | None -> pre
-          | Some (lo, hi) -> if at < lo then pre else if at > hi then post else fo
-        in
-        Metrics.Hist.record h (Time.to_ms_f dt))
-      !completions;
     let ovf =
       let c name =
         Metrics.Counter.value
@@ -1783,22 +1449,24 @@ let c10k quick =
     and shed = Metrics.Counter.value st.Loadgen.ol_shed
     and errors = Metrics.Counter.value st.Loadgen.ol_errors in
     let shed_rate = float_of_int shed /. float_of_int conns in
-    let p999 h =
-      if Metrics.Hist.count h > 0 then Metrics.Hist.quantile h 0.999 else 0.0
+    let p999 h = Scenario.quantile h 0.999 in
+    let cell h =
+      match p999 h with Some v -> Printf.sprintf "%.3f" v | None -> "-"
     in
-    Printf.printf
-      "%-8d %8d %8d %8d %8d %8d %10.3f %10.3f %10.3f %8d\n"
-      target conns (Loadgen.ol_peak ol) ok shed errors (p999 pre) (p999 fo)
-      (p999 post) ovf;
+    Printf.printf "%-8d %8d %8d %8d %8d %8d %10s %10s %10s %8d\n" target conns
+      (Loadgen.ol_peak ol) ok shed errors (cell r.pre) (cell r.fo)
+      (cell r.post) ovf;
+    let gauge h = Option.value ~default:0.0 (p999 h) in
     let gt key v = g (Printf.sprintf "c10k.c%d.%s" target key) v in
     gt "peak_conns" (float_of_int (Loadgen.ol_peak ol));
     gt "ok" (float_of_int ok);
     gt "shed_rate" shed_rate;
     gt "accept_overflow" (float_of_int ovf);
-    gt "pre.p999_ms" (p999 pre);
-    gt "fo.p999_ms" (p999 fo);
-    gt "post.p999_ms" (p999 post);
-    (target, Loadgen.ol_peak ol, shed_rate, ovf, p999 pre, p999 fo, p999 post)
+    gt "pre.p999_ms" (gauge r.pre);
+    gt "fo.p999_ms" (gauge r.fo);
+    gt "post.p999_ms" (gauge r.post);
+    (target, Loadgen.ol_peak ol, shed_rate, ovf, gauge r.pre, gauge r.fo,
+     gauge r.post)
   in
   Printf.printf
     "%-8s %8s %8s %8s %8s %8s %10s %10s %10s %8s\n" "target" "conns" "peak"
@@ -1848,99 +1516,46 @@ let experiments =
     ("c10k", c10k, "C10K: open-loop arrivals through replica death (sharded listeners + admission)");
   ]
 
-let run_all quick =
-  run_experiment "fig1" fig1 quick;
-  run_experiment "sec23" sec23 quick;
-  run_experiment "fig4" fig4_5 quick;
-  run_experiment "fig6" fig6_7 quick;
-  run_experiment "sec43" sec43 quick;
-  run_experiment "fig8" fig8 quick;
-  run_experiment "ablation" ablations quick;
-  run_experiment "chaos" chaos quick;
-  run_experiment "chaosparallel" chaosparallel quick;
-  run_experiment "batch" batch quick;
-  run_experiment "scaling" scaling quick;
-  run_experiment "replay" replay quick;
-  run_experiment "latency" latency quick;
-  run_experiment "reprotect" reprotect quick;
-  run_experiment "c10k" c10k quick;
-  run_experiment "micro" micro quick
+(* [all] runs every experiment once: the aliases share their runs. *)
+let all =
+  [ "fig1"; "sec23"; "fig4"; "fig6"; "sec43"; "fig8"; "ablation"; "chaos";
+    "chaosparallel"; "batch"; "scaling"; "replay"; "latency"; "reprotect";
+    "c10k"; "micro" ]
 
-let () =
-  let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
-  (* Strip flags (and --trace-out's value) before dispatching on the
-     experiment name. *)
-  let int_flag flag v =
-    match int_of_string_opt v with
-    | Some n when n >= 0 -> n
-    | _ ->
-        Printf.eprintf "bench: %s requires a non-negative integer, got %S\n"
-          flag v;
-        exit 1
+let main name quick trace_out knobs jobs =
+  let opts =
+    { quick; knobs; jobs = (if jobs = 0 then Chaos.default_jobs () else jobs) }
   in
-  let rec strip = function
-    | [] -> []
-    | "--quick" :: rest -> strip rest
-    | "--trace-out" :: path :: rest ->
-        trace_out := Some path;
-        strip rest
-    | [ "--trace-out" ] ->
-        Printf.eprintf "bench: --trace-out requires a PATH argument\n";
-        exit 1
-    | "--batch-window" :: v :: rest ->
-        batch_window_override := Some (Time.us (int_flag "--batch-window" v));
-        strip rest
-    | [ "--batch-window" ] ->
-        Printf.eprintf "bench: --batch-window requires a USEC argument\n";
-        exit 1
-    | "--batch-bytes" :: v :: rest ->
-        batch_bytes_override := Some (int_flag "--batch-bytes" v);
-        strip rest
-    | [ "--batch-bytes" ] ->
-        Printf.eprintf "bench: --batch-bytes requires a BYTES argument\n";
-        exit 1
-    | "--replay-workers" :: v :: rest ->
-        let n = int_flag "--replay-workers" v in
-        if n < 1 then begin
-          Printf.eprintf "bench: --replay-workers requires N >= 1\n";
-          exit 1
-        end;
-        replay_workers_override := Some n;
-        strip rest
-    | [ "--replay-workers" ] ->
-        Printf.eprintf "bench: --replay-workers requires an N argument\n";
-        exit 1
-    | "--jobs" :: v :: rest ->
-        let n = int_flag "--jobs" v in
-        if n < 1 then begin
-          Printf.eprintf "bench: --jobs requires N >= 1\n";
-          exit 1
-        end;
-        jobs_override := Some n;
-        strip rest
-    | [ "--jobs" ] ->
-        Printf.eprintf "bench: --jobs requires an N argument\n";
-        exit 1
-    | a :: rest -> a :: strip rest
+  let run name =
+    let _, f, _ = List.find (fun (n, _, _) -> n = name) experiments in
+    run_experiment ~trace_out name f opts
   in
-  let args = strip (List.tl (Array.to_list Sys.argv)) in
-  match args with
-  | [] | [ "all" ] ->
+  match name with
+  | "all" ->
       Printf.printf "FT-Linux reproduction: full evaluation%s\n"
         (if quick then " (quick mode)" else "");
-      run_all quick
-  | [ name ] -> (
-      match List.find_opt (fun (n, _, _) -> n = name) experiments with
-      | Some (_, f, _) -> run_experiment name f quick
-      | None ->
-          Printf.eprintf "unknown experiment %S; available:\n" name;
-          List.iter
-            (fun (n, _, d) -> Printf.eprintf "  %-8s %s\n" n d)
-            experiments;
-          exit 1)
-  | _ ->
-      Printf.eprintf
-        "usage: bench [EXPERIMENT] [--quick] [--trace-out PATH] \
-         [--batch-window USEC] [--batch-bytes BYTES] [--replay-workers N] \
-         [--jobs N]\n";
+      List.iter run all
+  | name when List.exists (fun (n, _, _) -> n = name) experiments -> run name
+  | name ->
+      Printf.eprintf "unknown experiment %S; available:\n" name;
+      List.iter (fun (n, _, d) -> Printf.eprintf "  %-8s %s\n" n d) experiments;
       exit 1
+
+let () =
+  let open Cmdliner in
+  let experiment =
+    Arg.(
+      value & pos 0 string "all"
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:"Experiment to run ($(b,all), the default, runs every one).")
+  and quick =
+    Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps for CI.")
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "bench" ~doc:"Regenerate the paper's evaluation tables.")
+          Term.(
+            const main $ experiment $ quick $ Cli.trace_out
+            $ Cli.config [ `Batch; `Replay_workers ]
+            $ Cli.jobs)))

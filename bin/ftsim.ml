@@ -2,7 +2,9 @@
 
    Subcommands mirror the paper's workloads; every knob of the model
    (partitioning, block sizes, CPU loads, failure time, driver reload) is a
-   flag.  `dune exec bin/ftsim.exe -- --help` lists everything. *)
+   flag.  Shared flags are declared in Ftsim_cli.Cli; each subcommand builds
+   an Apps.Scenario and prints its view of the report.
+   `dune exec bin/ftsim.exe -- --help` lists everything. *)
 
 open Cmdliner
 open Ftsim_sim
@@ -10,25 +12,12 @@ open Ftsim_kernel
 open Ftsim_netstack
 open Ftsim_ftlinux
 open Ftsim_apps
+module Cli = Ftsim_cli.Cli
 
 let mib n = n * 1024 * 1024
 
-let drive eng ~cap ~stop =
-  let rec loop () =
-    if (not (stop ())) && Engine.now eng < cap then begin
-      Engine.run ~until:(min cap (Engine.now eng + Time.ms 100)) eng;
-      loop ()
-    end
-  in
-  loop ()
-
-let gbit_link eng =
-  Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100) ()
-
-(* {1 Common flags} *)
-
-let seed_t =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Simulation seed.")
+(* Every subcommand's monitor defaults to on. *)
+let base = { Cluster.default_config with lagmon = Some Lagmon.default_config }
 
 let replicated_t =
   Arg.(
@@ -36,110 +25,18 @@ let replicated_t =
     & info [ "replicated" ] ~docv:"BOOL"
         ~doc:"Run under FT-Linux replication (false = plain kernel).")
 
-let fail_at_t =
-  Arg.(
-    value & opt (some int) None
-    & info [ "fail-at-ms" ] ~docv:"MS"
-        ~doc:"Fail-stop the primary partition at this simulated time.")
+(* A subcommand's own parameters: defaults and docs differ per subcommand. *)
+let int_t name ~default ~docv ~doc =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
 
-let driver_ms_t =
-  Arg.(
-    value & opt int 4950
-    & info [ "driver-ms" ] ~docv:"MS" ~doc:"NIC driver reload time at failover.")
+let int_opt_t ?default name ~docv ~doc =
+  Arg.(value & opt (some int) default & info [ name ] ~docv ~doc)
 
-(* Sync-tuple batching knobs, combined into the cluster's batch config.
-   [--batch-window 0] disables batching outright (one frame per record,
-   the pre-batching behaviour). *)
-let batch_window_us_t =
-  Arg.(
-    value & opt (some int) None
-    & info [ "batch-window" ] ~docv:"USEC"
-        ~doc:
-          "Maximum time a staged sync-tuple batch may wait before its frame \
-           is flushed.  $(docv) of 0 disables batching entirely.")
+let fail_at_t ?default doc = int_opt_t ?default "fail-at-ms" ~docv:"MS" ~doc
 
-let batch_bytes_t =
-  Arg.(
-    value & opt (some int) None
-    & info [ "batch-bytes" ] ~docv:"BYTES"
-        ~doc:"Flush a staged batch frame once it reaches $(docv) bytes.")
-
-let batch_config_of window_us bytes =
-  match (window_us, bytes) with
-  | None, None -> Cluster.default_config.Cluster.batch
-  | Some 0, _ -> Msglayer.unbatched
-  | _ ->
-      let b = Cluster.default_config.Cluster.batch in
-      let b =
-        match window_us with
-        | Some us -> { b with Msglayer.batch_window = Time.us us }
-        | None -> b
-      in
-      (match bytes with
-      | Some n -> { b with Msglayer.batch_bytes = n }
-      | None -> b)
-
-let batch_t = Term.(const batch_config_of $ batch_window_us_t $ batch_bytes_t)
-
-let det_shard_t =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "det-shard" ] ~docv:"on|off"
-        ~doc:
-          "Per-object channels for deterministic sections (the sharded \
-           replication core).  $(b,off) restores the namespace-global mutex \
-           and total sync-tuple order.")
-
-let replay_workers_t =
-  Arg.(
-    value & opt int 1
-    & info [ "replay-workers" ] ~docv:"N"
-        ~doc:
-          "Backup replay-executor pool size.  $(b,1) (default) keeps the \
-           serial replay drain; above 1, records fan out to N executors and \
-           only the per-channel x per-thread partial order serializes \
-           replay (most effective with $(b,--det-shard on)).")
-
-let lagmon_t =
-  Arg.(
-    value
-    & opt (enum [ ("on", `On); ("quiet", `Quiet); ("off", `Off) ]) `On
-    & info [ "lagmon" ] ~docv:"on|quiet|off"
-        ~doc:
-          "Replication-health monitor: sample the primary's append LSN vs \
-           the backup's ack watermark (overall and per Det channel), replay \
-           queue depth and ack RTT, publishing lag.* gauges and a health \
-           verdict.  $(b,quiet) keeps the gauges but suppresses Evlog \
-           emission (same-seed traces stay byte-identical to $(b,off)); \
-           sampling never perturbs the deterministic replay order.")
-
-let lagmon_config_of = function
-  | `On -> Some Lagmon.default_config
-  | `Quiet -> Some { Lagmon.default_config with Lagmon.quiet = true }
-  | `Off -> None
-
-let reprotect_t =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) false
-    & info [ "reprotect" ] ~docv:"on|off"
-        ~doc:
-          "Live re-protection (default $(b,off)): after a replica death the \
-           survivor keeps serving while journaling the record stream, the \
-           failed partition is recommissioned, a fresh backup boots and \
-           replays online, and a consensus-coordinated epoch switch splices \
-           it into the live stream — restoring $(b,Protected) instead of \
-           running unprotected to the end of the run.")
-
-let regen_delay_t =
-  Arg.(
-    value & opt int 100
-    & info [ "regen-delay" ] ~docv:"MS"
-        ~doc:
-          "Dwell in $(b,Degraded) before regeneration starts, and between \
-           retries after an aborted regeneration (only meaningful with \
-           $(b,--reprotect on)).")
+let kill_primary = function
+  | Some ms -> [ (Replica_set.Primary, Time.ms ms) ]
+  | None -> []
 
 let print_health name = function
   | None -> ()
@@ -164,200 +61,11 @@ let print_lifecycle c =
     (if n = 1 then "" else "s")
     (List.length (Cluster.transitions c))
 
-let stats_interval_t =
-  Arg.(
-    value & opt (some int) None
-    & info [ "stats-interval" ] ~docv:"MS"
-        ~doc:
-          "Print a one-line metric snapshot (lag, msglayer, replay, det \
-           instruments) to stderr every $(docv) of simulated time.")
-
-(* {2 C10K serving-path knobs} *)
-
-let listen_shards_t =
-  Arg.(
-    value & opt int 1
-    & info [ "listen-shards" ] ~docv:"N"
-        ~doc:
-          "Accept-queue shards (SO_REUSEPORT-style listener group): \
-           incoming connections are SYN-hash-routed by 4-tuple to one of \
-           $(docv) per-shard accept queues, each drained by its own \
-           acceptor thread.  $(b,1) (default) is the classic single \
-           listener, byte-identical to the pre-sharding path.")
-
-let default_admission_limit = 64
-
-(* --admission off | on | <limit>: "on" picks the default in-flight budget,
-   an integer sets it explicitly. *)
-let admission_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "off" -> Ok None
-    | "on" -> Ok (Some default_admission_limit)
-    | _ -> (
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok (Some n)
-        | _ ->
-            Error
-              (`Msg
-                 (Printf.sprintf
-                    "expected off, on, or a positive in-flight limit, got %S"
-                    s)))
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "off"
-    | Some n -> Format.pp_print_int ppf n
-  in
-  Arg.conv (parse, print)
-
-let admission_t =
-  Arg.(
-    value
-    & opt admission_conv None
-    & info [ "admission" ] ~docv:"off|on|N"
-        ~doc:
-          (Printf.sprintf
-             "Admission control on the server's request path: at most \
-              $(docv) units of work in flight, the rest answered with an \
-              explicit load-shed response (HTTP 503 / BUSY).  $(b,on) uses \
-              the default budget of %d.  Decisions ride the replicated \
-              lock order, so primary and backup shed identically."
-             default_admission_limit))
-
-let arrival_rate_t =
-  Arg.(
-    value & opt (some float) None
-    & info [ "arrival-rate" ] ~docv:"R"
-        ~doc:
-          "Drive the client open-loop at $(docv) connection arrivals per \
-           second (clock-driven, decoupled from completions) instead of \
-           the closed-loop default — the C10K regime where a slow server \
-           faces undiminished offered load.")
-
-let arm_stats eng = function
-  | None -> ()
-  | Some ms -> ignore (Statsdump.arm eng ~every:(Time.ms ms))
-
-let metrics_json_t =
-  Arg.(
-    value & opt (some string) None
-    & info [ "metrics-json" ] ~docv:"PATH"
-        ~doc:
-          "Write the cross-stack metrics registry (engine, mailbox, TCP, \
-           message layer, cluster) as JSON to $(docv) after the run.")
-
-let dump_metrics eng = function
-  | None -> ()
-  | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc (Metrics.Registry.to_json (Engine.metrics eng));
-        close_out oc
-      with Sys_error msg ->
-        Printf.eprintf "ftsim: cannot write metrics: %s\n" msg)
-
-(* {1 Tracing and logging flags}
-
-   Shared by every engine-backed subcommand: [--trace-out] exports the
-   engine's event log (Chrome trace_event JSON unless the path ends in
-   .jsonl — open the former in Perfetto), [--trace-detail] turns on the
-   high-volume event sites, and [--log-level] / [--log-filter] enable the
-   stderr log sink with per-component levels. *)
-
-let trace_out_t =
-  Arg.(
-    value & opt (some string) None
-    & info [ "trace-out" ] ~docv:"PATH"
-        ~doc:
-          "Write the structured event trace to $(docv) after the run: Chrome \
-           trace_event JSON (opens in Perfetto) by default, JSONL if the \
-           path ends in .jsonl.")
-
-let trace_detail_t =
-  Arg.(
-    value & flag
-    & info [ "trace-detail" ]
-        ~doc:
-          "Also record high-volume events (per-park, per-timer, per-segment, \
-           per-futex-wake); grows traces by orders of magnitude.")
-
-let log_level_t =
-  Arg.(
-    value & opt (some string) None
-    & info [ "log-level" ] ~docv:"LEVEL"
-        ~doc:
-          "Print log events at or above $(docv) (error, warn, info, debug) \
-           to stderr.")
-
-let log_filter_t =
-  Arg.(
-    value & opt (some string) None
-    & info [ "log-filter" ] ~docv:"SPEC"
-        ~doc:
-          "Per-component level overrides, e.g. \
-           $(b,ft.cluster=debug,net.tcp=info).  Implies the stderr sink for \
-           those components.")
-
-let setup_logging log_level log_filter =
-  Trace.reset_levels ();
-  (match log_level with
-  | None -> ()
-  | Some s -> (
-      match Trace.level_of_string s with
-      | Some l ->
-          Trace.set_level l;
-          Trace.set_stderr true
-      | None -> Printf.eprintf "ftsim: unknown log level %S ignored\n" s));
-  match log_filter with
-  | None -> ()
-  | Some spec ->
-      List.iter
-        (fun item ->
-          if item <> "" then
-            match String.index_opt item '=' with
-            | Some i -> (
-                let comp = String.sub item 0 i in
-                let lvl =
-                  String.sub item (i + 1) (String.length item - i - 1)
-                in
-                match Trace.level_of_string lvl with
-                | Some l ->
-                    Trace.set_level ~component:comp l;
-                    Trace.set_stderr true
-                | None ->
-                    Printf.eprintf "ftsim: unknown log level %S ignored\n" lvl)
-            | None ->
-                Printf.eprintf
-                  "ftsim: malformed --log-filter item %S (want comp=level)\n"
-                  item)
-        (String.split_on_char ',' spec)
-
-let trace_format_of_path path =
-  if Filename.check_suffix path ".jsonl" then `Jsonl else `Chrome
-
-let dump_trace eng = function
-  | None -> ()
-  | Some path -> (
-      try
-        Evlog.write_file (Engine.evlog eng)
-          ~format:(trace_format_of_path path)
-          path
-      with Sys_error msg ->
-        Printf.eprintf "ftsim: cannot write trace: %s\n" msg)
-
-let apply_detail eng detail =
-  if detail then Evlog.set_detail (Engine.evlog eng) true
-
 (* {1 pbzip2} *)
 
 let pbzip2_cmd =
-  let run seed replicated fail_at block_kb file_mb workers batch det_shard
-      replay_workers lagmon reprotect regen_delay_ms stats_interval
-      metrics_json trace_out trace_detail log_level log_filter =
-    setup_logging log_level log_filter;
-    let eng = Engine.create ~seed () in
-    apply_detail eng trace_detail;
-    arm_stats eng stats_interval;
+  let run r replicated fail_at block_kb file_mb workers config =
+    let eng = Cli.engine r in
     let params =
       {
         Pbzip2.default_params with
@@ -366,195 +74,133 @@ let pbzip2_cmd =
         workers;
       }
     in
-    let t_done = ref None in
-    let finish api =
-      if (not replicated) || Kernel.name api.Api.kernel = "primary" then
-        t_done := Some (Engine.now eng)
+    let cap = Time.sec 600 in
+    let t_done, res =
+      Scenario.run_to_completion eng ~kills:(kill_primary fail_at)
+        (if replicated then Replicated config else Plain None)
+        ~cap
+        (fun ~serving:_ api -> Pbzip2.run ~params api)
     in
-    let blocks = Pbzip2.block_count params in
-    let cluster_opt =
-      if replicated then begin
-        let app api =
-          Pbzip2.run ~params api;
-          finish api
-        in
-        let config =
-          { Cluster.default_config with Cluster.batch; det_shard;
-            replay_workers; lagmon = lagmon_config_of lagmon; reprotect;
-            regen_delay = Time.ms regen_delay_ms }
-        in
-        let c = Cluster.create eng ~config ~app () in
-        (match fail_at with
-        | Some ms -> Cluster.kill c ~role:Replica_set.Primary ~at:(Time.ms ms)
-        | None -> ());
-        Some c
-      end
-      else begin
-        let app api =
-          Pbzip2.run ~params api;
-          finish api
-        in
-        ignore (Cluster.create_standalone eng ~app ());
-        None
-      end
-    in
-    drive eng ~cap:(Time.sec 600) ~stop:(fun () -> !t_done <> None);
-    (match cluster_opt with Some c -> Cluster.shutdown c | None -> ());
-    dump_metrics eng metrics_json;
-    dump_trace eng trace_out;
-    match !t_done with
+    Cli.dump r eng;
+    match t_done with
     | Some t ->
+        let blocks = Pbzip2.block_count params in
         Printf.printf "compressed %d blocks (%d MiB) in %s: %.0f blocks/s\n"
           blocks file_mb (Time.to_string t)
           (float_of_int blocks /. Time.to_sec_f t);
-        (match cluster_opt with
-        | Some c ->
+        Option.iter
+          (fun c ->
             Printf.printf "inter-replica: %d msgs, %.2f MB, %d det sections\n"
               (Cluster.traffic_msgs c)
               (float_of_int (Cluster.traffic_bytes c) /. 1e6)
               (Cluster.det_ops c);
-            if reprotect then print_lifecycle c;
-            print_cluster_health c
-        | None -> ())
+            if config.Cluster.reprotect then print_lifecycle c;
+            print_cluster_health c)
+          res.env.cluster
+    | None when Engine.now eng < cap ->
+        Printf.printf "did not finish: nothing left to run at %s\n"
+          (Time.to_string (Engine.now eng))
     | None -> Printf.printf "did not finish within the simulation cap\n"
-  in
-  let block_kb =
-    Arg.(value & opt int 100 & info [ "block-kb" ] ~docv:"KB" ~doc:"Block size.")
-  in
-  let file_mb =
-    Arg.(value & opt int 128 & info [ "file-mb" ] ~docv:"MB" ~doc:"Input size.")
-  in
-  let workers =
-    Arg.(value & opt int 32 & info [ "workers" ] ~docv:"N" ~doc:"Worker threads.")
   in
   Cmd.v
     (Cmd.info "pbzip2" ~doc:"Parallel compression workload (paper §4.1).")
     Term.(
-      const run $ seed_t $ replicated_t $ fail_at_t $ block_kb $ file_mb
-      $ workers $ batch_t $ det_shard_t $ replay_workers_t $ lagmon_t
-      $ reprotect_t $ regen_delay_t $ stats_interval_t $ metrics_json_t
-      $ trace_out_t $ trace_detail_t $ log_level_t $ log_filter_t)
+      const run $ Cli.run $ replicated_t
+      $ fail_at_t "Fail-stop the primary partition at this simulated time."
+      $ int_t "block-kb" ~default:100 ~docv:"KB" ~doc:"Block size."
+      $ int_t "file-mb" ~default:128 ~docv:"MB" ~doc:"Input size."
+      $ int_t "workers" ~default:32 ~docv:"N" ~doc:"Worker threads."
+      $ Cli.config ~base
+          [ `Batch; `Det_shard; `Replay_workers; `Lagmon; `Reprotect;
+            `Regen_delay ])
 
 (* {1 mongoose} *)
 
 let mongoose_cmd =
-  let run seed replicated cpu_us concurrency seconds listen_shards admission
-      arrival_rate batch det_shard replay_workers lagmon stats_interval
-      metrics_json trace_out trace_detail log_level log_filter =
-    setup_logging log_level log_filter;
-    let eng = Engine.create ~seed () in
-    apply_detail eng trace_detail;
-    arm_stats eng stats_interval;
-    let link = gbit_link eng in
-    let params =
-      {
-        Mongoose.default_params with
-        Mongoose.cpu_per_request = Time.us cpu_us;
-        listen_shards;
-        admission;
-      }
+  let run r replicated cpu_us concurrency seconds listen_shards admission
+      arrival_rate config =
+    let eng = Cli.engine r in
+    let app =
+      Mongoose.run
+        ~params:
+          {
+            Mongoose.default_params with
+            Mongoose.cpu_per_request = Time.us cpu_us;
+            listen_shards;
+            admission;
+          }
     in
-    let app api = Mongoose.run ~params api in
-    let cluster_opt =
-      if replicated then
-        let config =
-          { Cluster.default_config with Cluster.batch; det_shard;
-            replay_workers; lagmon = lagmon_config_of lagmon }
-        in
-        Some (Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app ())
-      else begin
-        ignore
-          (Cluster.create_standalone eng ~link:(Link.endpoint_a link) ~app ());
-        None
-      end
+    let server = if replicated then Scenario.Replicated config else Plain None in
+    let warmup = Time.ms 400 in
+    let res =
+      match arrival_rate with
+      | None ->
+          let res =
+            Scenario.run eng
+              (Scenario.make server app
+                 (Ab { target = "/page"; concurrency; start = None })
+                 [ Until warmup; Until (warmup + Time.sec seconds) ])
+          in
+          Cli.dump r eng;
+          let st = Scenario.ab_stats res in
+          let d = Scenario.measured res in
+          Printf.printf
+            "%.0f req/s over %ds (concurrency %d, CPU loop %dus); p50 %.2fms \
+             p99 %.2fms\n"
+            (float_of_int d.ops /. float_of_int seconds)
+            seconds concurrency cpu_us
+            (1000. *. Metrics.Hist.quantile st.Loadgen.latency 0.5)
+            (1000. *. Metrics.Hist.quantile st.Loadgen.latency 0.99);
+          res
+      | Some rate ->
+          let conns = int_of_float (rate *. float_of_int seconds) in
+          let res =
+            Scenario.run eng
+              (Scenario.make server app
+                 (Ol
+                    { target = "/page"; rate; conns; seed = r.Cli.seed;
+                      start = warmup })
+                 [ Until (warmup + Time.sec (seconds + 30)) ])
+          in
+          Cli.dump r eng;
+          let ol = Scenario.ol res in
+          let st = Loadgen.ol_stats ol in
+          let cum = Metrics.Whist.cumulative st.Loadgen.ol_latency_w in
+          Printf.printf
+            "open loop: %d arrivals at %.0f/s (peak %d concurrent): %d ok, %d \
+             shed, %d errors; p50 %.2fms p99 %.2fms p999 %.2fms\n"
+            (Loadgen.ol_launched ol) rate (Loadgen.ol_peak ol)
+            (Metrics.Counter.value st.Loadgen.ol_ok)
+            (Metrics.Counter.value st.Loadgen.ol_shed)
+            (Metrics.Counter.value st.Loadgen.ol_errors)
+            (Metrics.Hist.quantile cum 0.5)
+            (Metrics.Hist.quantile cum 0.99)
+            (Metrics.Hist.quantile cum 0.999);
+          res
     in
-    let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-    (match arrival_rate with
-    | None ->
-        let ab =
-          Loadgen.ab_start client ~server:"10.0.0.1" ~port:80 ~target:"/page"
-            ~concurrency ()
-        in
-        Engine.run ~until:(Time.ms 400) eng;
-        let st = Loadgen.ab_stats ab in
-        let c0 = Metrics.Counter.value st.Loadgen.completed in
-        Engine.run ~until:(Time.ms 400 + Time.sec seconds) eng;
-        let c1 = Metrics.Counter.value st.Loadgen.completed in
-        Loadgen.ab_stop ab;
-        (match cluster_opt with Some c -> Cluster.shutdown c | None -> ());
-        dump_metrics eng metrics_json;
-        dump_trace eng trace_out;
-        Printf.printf
-          "%.0f req/s over %ds (concurrency %d, CPU loop %dus); p50 %.2fms \
-           p99 %.2fms\n"
-          (float_of_int (c1 - c0) /. float_of_int seconds)
-          seconds concurrency cpu_us
-          (1000. *. Metrics.Hist.quantile st.Loadgen.latency 0.5)
-          (1000. *. Metrics.Hist.quantile st.Loadgen.latency 0.99)
-    | Some rate ->
-        Engine.run ~until:(Time.ms 400) eng;
-        let conns = int_of_float (rate *. float_of_int seconds) in
-        let ol =
-          Loadgen.ol_start client ~server:"10.0.0.1" ~port:80 ~target:"/page"
-            ~rate ~conns ~poisson:true ~seed ()
-        in
-        Engine.run ~until:(Time.ms 400 + Time.sec (seconds + 30)) eng;
-        (match cluster_opt with Some c -> Cluster.shutdown c | None -> ());
-        dump_metrics eng metrics_json;
-        dump_trace eng trace_out;
-        let st = Loadgen.ol_stats ol in
-        let cum = Metrics.Whist.cumulative st.Loadgen.ol_latency_w in
-        Printf.printf
-          "open loop: %d arrivals at %.0f/s (peak %d concurrent): %d ok, %d \
-           shed, %d errors; p50 %.2fms p99 %.2fms p999 %.2fms\n"
-          (Loadgen.ol_launched ol) rate (Loadgen.ol_peak ol)
-          (Metrics.Counter.value st.Loadgen.ol_ok)
-          (Metrics.Counter.value st.Loadgen.ol_shed)
-          (Metrics.Counter.value st.Loadgen.ol_errors)
-          (Metrics.Hist.quantile cum 0.5)
-          (Metrics.Hist.quantile cum 0.99)
-          (Metrics.Hist.quantile cum 0.999));
-    (match cluster_opt with
-    | Some c -> print_health "lag" (Cluster.lagmon c)
-    | None -> ())
-  in
-  let cpu_us =
-    Arg.(
-      value & opt int 0
-      & info [ "cpu-us" ] ~docv:"US" ~doc:"Per-request CPU loop.")
-  in
-  let concurrency =
-    Arg.(
-      value & opt int 100
-      & info [ "concurrency" ] ~docv:"N" ~doc:"Parallel client connections.")
-  in
-  let seconds =
-    Arg.(
-      value & opt int 2 & info [ "seconds" ] ~docv:"S" ~doc:"Measured window.")
+    Option.iter (fun c -> print_health "lag" (Cluster.lagmon c)) res.env.cluster
   in
   Cmd.v
     (Cmd.info "mongoose" ~doc:"Web server under ApacheBench load (paper §4.2).")
     Term.(
-      const run $ seed_t $ replicated_t $ cpu_us $ concurrency $ seconds
-      $ listen_shards_t $ admission_t $ arrival_rate_t $ batch_t $ det_shard_t
-      $ replay_workers_t $ lagmon_t $ stats_interval_t $ metrics_json_t
-      $ trace_out_t $ trace_detail_t $ log_level_t $ log_filter_t)
+      const run $ Cli.run $ replicated_t
+      $ int_t "cpu-us" ~default:0 ~docv:"US" ~doc:"Per-request CPU loop."
+      $ int_t "concurrency" ~default:100 ~docv:"N"
+          ~doc:"Parallel client connections."
+      $ int_t "seconds" ~default:2 ~docv:"S" ~doc:"Measured window."
+      $ Cli.listen_shards $ Cli.admission $ Cli.arrival_rate
+      $ Cli.config ~base [ `Batch; `Det_shard; `Replay_workers; `Lagmon ])
 
 (* {1 failover / fileserver / timeline}
 
-   One runner, three views: [failover] prints the paper's Fig. 8 anatomy
+   One scenario, three views: [failover] prints the paper's Fig. 8 anatomy
    (throughput over time, outage length), [fileserver] is the same workload
    with the failure optional, and [timeline] reads the per-phase failover
    breakdown back out of the event trace. *)
 
-let run_transfer ~seed ~file_mb ~fail_at ~driver_ms ~batch ~det_shard
-    ~replay_workers ~lagmon ~reprotect ~regen_delay_ms ~listen_shards
-    ~admission ~stats_interval ~detail () =
-  let eng = Engine.create ~seed () in
-  apply_detail eng detail;
-  arm_stats eng stats_interval;
-  let link = gbit_link eng in
-  let app api =
+let run_transfer r config ~file_mb ~fail_at ~listen_shards ~admission =
+  let eng = Cli.engine r in
+  let app =
     Fileserver.run
       ~params:
         {
@@ -563,31 +209,15 @@ let run_transfer ~seed ~file_mb ~fail_at ~driver_ms ~batch ~det_shard
           listen_shards;
           admission;
         }
-      api
   in
-  let config =
-    {
-      Cluster.default_config with
-      Cluster.driver_load_time = Time.ms driver_ms;
-      batch;
-      det_shard;
-      replay_workers;
-      lagmon = lagmon_config_of lagmon;
-      reprotect;
-      regen_delay = Time.ms regen_delay_ms;
-    }
+  let res =
+    Scenario.run eng
+      (Scenario.make ~kills:(kill_primary fail_at) (Replicated config) app
+         (Wget "/file")
+         [ Done (Time.sec 300) ])
   in
-  let cluster = Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
-  (match fail_at with
-  | Some ms -> Cluster.kill cluster ~role:Replica_set.Primary ~at:(Time.ms ms)
-  | None -> ());
-  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  let w =
-    Loadgen.wget_start client ~server:"10.0.0.1" ~port:80 ~target:"/file" ()
-  in
-  drive eng ~cap:(Time.sec 300) ~stop:(fun () -> Ivar.is_filled w.Loadgen.total);
-  Cluster.shutdown cluster;
-  (eng, cluster, w)
+  Cli.dump r eng;
+  (eng, Scenario.cluster res, Scenario.wget res)
 
 let print_outage cluster =
   match
@@ -610,67 +240,43 @@ let print_download w ~file_mb =
         (if n = mib file_mb then "complete" else "INCOMPLETE")
   | None -> Printf.printf "download incomplete at cap\n"
 
-let file_mb_t =
-  Arg.(value & opt int 512 & info [ "file-mb" ] ~docv:"MB" ~doc:"File size.")
+let file_mb_t = int_t "file-mb" ~default:512 ~docv:"MB" ~doc:"File size."
+
+let transfer_knobs =
+  [ `Driver_ms; `Batch; `Det_shard; `Replay_workers; `Lagmon; `Reprotect;
+    `Regen_delay ]
 
 let failover_cmd =
-  let run seed file_mb fail_at_ms driver_ms batch det_shard replay_workers
-      lagmon reprotect regen_delay_ms listen_shards admission stats_interval
-      metrics_json trace_out trace_detail log_level log_filter =
-    setup_logging log_level log_filter;
-    let eng, cluster, w =
-      run_transfer ~seed ~file_mb ~fail_at:(Some fail_at_ms) ~driver_ms ~batch
-        ~det_shard ~replay_workers ~lagmon ~reprotect ~regen_delay_ms
-        ~listen_shards ~admission ~stats_interval ~detail:trace_detail ()
+  let run r file_mb fail_at listen_shards admission config =
+    let _, cluster, w =
+      run_transfer r config ~file_mb ~fail_at ~listen_shards ~admission
     in
-    dump_metrics eng metrics_json;
-    dump_trace eng trace_out;
     Printf.printf "t(s)  MB/s\n";
     List.iter
       (fun (t, r) -> Printf.printf "%-5.0f %8.1f\n" t (r /. 1e6))
       (Metrics.Series.rate_per_sec w.Loadgen.bytes_received);
     print_outage cluster;
     print_download w ~file_mb;
-    if reprotect then print_lifecycle cluster;
+    if config.Cluster.reprotect then print_lifecycle cluster;
     print_cluster_health cluster
-  in
-  let fail_at =
-    Arg.(
-      value & opt int 2000
-      & info [ "fail-at-ms" ] ~docv:"MS" ~doc:"Primary failure time.")
   in
   Cmd.v
     (Cmd.info "failover"
        ~doc:"Large transfer with a mid-stream primary failure (paper §4.4).")
     Term.(
-      const run $ seed_t $ file_mb_t $ fail_at $ driver_ms_t $ batch_t
-      $ det_shard_t $ replay_workers_t $ lagmon_t $ reprotect_t
-      $ regen_delay_t $ listen_shards_t $ admission_t $ stats_interval_t
-      $ metrics_json_t $ trace_out_t $ trace_detail_t $ log_level_t
-      $ log_filter_t)
+      const run $ Cli.run $ file_mb_t
+      $ fail_at_t ~default:2000 "Primary failure time."
+      $ Cli.listen_shards $ Cli.admission $ Cli.config ~base transfer_knobs)
 
 let fileserver_cmd =
-  let run seed file_mb fail_at_ms driver_ms batch det_shard replay_workers
-      lagmon reprotect regen_delay_ms listen_shards admission stats_interval
-      metrics_json trace_out trace_detail log_level log_filter =
-    setup_logging log_level log_filter;
-    let eng, cluster, w =
-      run_transfer ~seed ~file_mb ~fail_at:fail_at_ms ~driver_ms ~batch
-        ~det_shard ~replay_workers ~lagmon ~reprotect ~regen_delay_ms
-        ~listen_shards ~admission ~stats_interval ~detail:trace_detail ()
+  let run r file_mb fail_at listen_shards admission config =
+    let _, cluster, w =
+      run_transfer r config ~file_mb ~fail_at ~listen_shards ~admission
     in
-    dump_metrics eng metrics_json;
-    dump_trace eng trace_out;
     print_download w ~file_mb;
-    if fail_at_ms <> None then print_outage cluster;
-    if reprotect then print_lifecycle cluster;
+    if fail_at <> None then print_outage cluster;
+    if config.Cluster.reprotect then print_lifecycle cluster;
     print_cluster_health cluster
-  in
-  let fail_at =
-    Arg.(
-      value & opt (some int) None
-      & info [ "fail-at-ms" ] ~docv:"MS"
-          ~doc:"Fail-stop the primary partition at this simulated time.")
   in
   Cmd.v
     (Cmd.info "fileserver"
@@ -678,23 +284,16 @@ let fileserver_cmd =
          "Replicated file server under a large download, with an optional \
           mid-stream primary failure.")
     Term.(
-      const run $ seed_t $ file_mb_t $ fail_at $ driver_ms_t $ batch_t
-      $ det_shard_t $ replay_workers_t $ lagmon_t $ reprotect_t
-      $ regen_delay_t $ listen_shards_t $ admission_t $ stats_interval_t
-      $ metrics_json_t $ trace_out_t $ trace_detail_t $ log_level_t
-      $ log_filter_t)
+      const run $ Cli.run $ file_mb_t
+      $ fail_at_t "Fail-stop the primary partition at this simulated time."
+      $ Cli.listen_shards $ Cli.admission $ Cli.config ~base transfer_knobs)
 
 let timeline_cmd =
-  let run seed file_mb fail_at_ms driver_ms batch det_shard replay_workers
-      lagmon stats_interval trace_out trace_detail log_level log_filter =
-    setup_logging log_level log_filter;
+  let run r file_mb fail_at config =
     let eng, cluster, _w =
-      run_transfer ~seed ~file_mb ~fail_at:(Some fail_at_ms) ~driver_ms ~batch
-        ~det_shard ~replay_workers ~lagmon ~reprotect:false ~regen_delay_ms:100
-        ~listen_shards:1 ~admission:None ~stats_interval ~detail:trace_detail
-        ()
+      run_transfer r config ~file_mb ~fail_at ~listen_shards:1 ~admission:None
     in
-    dump_trace eng trace_out;
+    let fail_at_ms = Option.get fail_at in
     let evs = Evlog.events (Engine.evlog eng) in
     let ms t = float_of_int t /. 1e6 in
     let phases =
@@ -705,7 +304,7 @@ let timeline_cmd =
         ("go-live", "failover.golive");
       ]
     in
-    Printf.printf "failover timeline (seed %d, fail at %d ms):\n" seed
+    Printf.printf "failover timeline (seed %d, fail at %d ms):\n" r.Cli.seed
       fail_at_ms;
     Printf.printf "  %-14s %12s %12s %12s\n" "phase" "start(ms)" "end(ms)"
       "dur(ms)";
@@ -737,93 +336,78 @@ let timeline_cmd =
       | _ -> Printf.printf "  measured recovery unavailable\n"
     end
   in
-  let fail_at =
-    Arg.(
-      value & opt int 2000
-      & info [ "fail-at-ms" ] ~docv:"MS" ~doc:"Primary failure time.")
-  in
   Cmd.v
     (Cmd.info "timeline"
        ~doc:
          "Run the failover scenario and print the per-phase recovery \
           breakdown (Fig. 8 anatomy) from the event trace.")
     Term.(
-      const run $ seed_t $ file_mb_t $ fail_at $ driver_ms_t $ batch_t
-      $ det_shard_t $ replay_workers_t $ lagmon_t $ stats_interval_t
-      $ trace_out_t $ trace_detail_t $ log_level_t $ log_filter_t)
+      const run $ Cli.run $ file_mb_t
+      $ fail_at_t ~default:2000 "Primary failure time."
+      $ Cli.config ~base
+          [ `Driver_ms; `Batch; `Det_shard; `Replay_workers; `Lagmon ])
 
 (* {1 triple} *)
 
+let echo_app (api : Api.t) =
+  let l = api.Api.net.listen ~port:80 in
+  let rec serve () =
+    match api.Api.net.accept l with
+    | Error _ -> ()
+    | Ok s ->
+        let rec echo () =
+          match api.Api.net.recv s ~max:4096 with
+          | Error _ -> api.Api.net.close s
+          | Ok cs ->
+              List.iter (fun c -> ignore (api.Api.net.send s c)) cs;
+              echo ()
+        in
+        echo ();
+        serve ()
+  in
+  serve ()
+
 let triple_cmd =
-  let run seed kill_backup_ms kill_primary_ms driver_ms det_shard
-      replay_workers lagmon stats_interval metrics_json trace_out trace_detail
-      log_level log_filter =
-    setup_logging log_level log_filter;
-    let eng = Engine.create ~seed () in
-    apply_detail eng trace_detail;
-    arm_stats eng stats_interval;
-    let link = gbit_link eng in
-    let config =
-      {
-        Cluster.default_config with
-        Cluster.replicas = 3;
-        driver_load_time = Time.ms driver_ms;
-        det_shard;
-        replay_workers;
-        lagmon = lagmon_config_of lagmon;
-      }
-    in
-    let app (api : Api.t) =
-      let l = api.Api.net.listen ~port:80 in
-      let rec serve () =
-        match api.Api.net.accept l with
-        | Error _ -> ()
-        | Ok s ->
-            let rec echo () =
-              match api.Api.net.recv s ~max:4096 with
-              | Error _ -> api.Api.net.close s
-              | Ok cs ->
-                  List.iter (fun c -> ignore (api.Api.net.send s c)) cs;
-                  echo ()
-            in
-            echo ();
-            serve ()
-      in
-      serve ()
-    in
-    let t = Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
-    Option.iter
-      (fun ms -> Cluster.kill t ~role:Replica_set.Backup ~at:(Time.ms ms))
-      kill_backup_ms;
-    Option.iter
-      (fun ms -> Cluster.kill t ~role:Replica_set.Primary ~at:(Time.ms ms))
-      kill_primary_ms;
-    let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
+  let run r kill_backup_ms kill_primary_ms config =
+    let eng = Cli.engine r in
     let messages = List.init 40 (fun i -> Printf.sprintf "m%02d|" i) in
     let result = Ivar.create () in
-    ignore
-      (Host.spawn client "client" (fun () ->
-           let c = Tcp.connect (Host.stack client) ~host:"10.0.0.1" ~port:80 in
-           let out = Buffer.create 64 in
-           List.iter
-             (fun m ->
-               Tcp.send c (Payload.of_string m);
-               let want = String.length m in
-               let got = ref 0 in
-               while !got < want do
-                 match Tcp.recv c ~max:4096 with
-                 | [] -> failwith "eof"
-                 | cs ->
-                     got := !got + Payload.total_len cs;
-                     Buffer.add_string out (Payload.concat_to_string cs)
-               done;
-               Engine.sleep (Time.ms 5))
-             messages;
-           Ivar.fill result (Buffer.contents out)));
-    drive eng ~cap:(Time.sec 60) ~stop:(fun () -> Ivar.is_filled result);
-    Cluster.shutdown t;
-    dump_metrics eng metrics_json;
-    dump_trace eng trace_out;
+    let client host =
+      ignore
+        (Host.spawn host "client" (fun () ->
+             let c =
+               Tcp.connect (Host.stack host) ~host:Scenario.server_ip ~port:80
+             in
+             let out = Buffer.create 64 in
+             List.iter
+               (fun m ->
+                 Tcp.send c (Payload.of_string m);
+                 let want = String.length m in
+                 let got = ref 0 in
+                 while !got < want do
+                   match Tcp.recv c ~max:4096 with
+                   | [] -> failwith "eof"
+                   | cs ->
+                       got := !got + Payload.total_len cs;
+                       Buffer.add_string out (Payload.concat_to_string cs)
+                 done;
+                 Engine.sleep (Time.ms 5))
+               messages;
+             Ivar.fill result (Buffer.contents out)))
+    in
+    let kills =
+      List.filter_map
+        (fun (role, ms) -> Option.map (fun ms -> (role, Time.ms ms)) ms)
+        [ (Replica_set.Backup, kill_backup_ms); (Primary, kill_primary_ms) ]
+    in
+    let res =
+      Scenario.run eng
+        (Scenario.make ~kills
+           ~finished:(fun () -> Ivar.is_filled result)
+           (Replicated config) echo_app (Client client) [ Done (Time.sec 60) ])
+    in
+    let t = Scenario.cluster res in
+    Cli.dump r eng;
     Printf.printf "backups' received LSN: %d / %d\n"
       (Cluster.backup_received_lsn t 0)
       (Cluster.backup_received_lsn t 1);
@@ -839,95 +423,32 @@ let triple_cmd =
     | Some s -> Printf.printf "client stream: CORRUPTED (%d bytes)\n" (String.length s)
     | None -> Printf.printf "client stream: incomplete\n"
   in
-  let kill_backup =
-    Arg.(
-      value & opt (some int) None
-      & info [ "fail-backup-ms" ] ~docv:"MS"
-          ~doc:"Fail-stop the first live backup (backup 0).")
-  in
-  let kill_primary =
-    Arg.(
-      value & opt (some int) None
-      & info [ "fail-primary-ms" ] ~docv:"MS" ~doc:"Fail-stop the primary.")
-  in
   Cmd.v
     (Cmd.info "triple"
        ~doc:"Three-replica echo service with optional injected failures (paper 6).")
     Term.(
-      const run $ seed_t $ kill_backup $ kill_primary $ driver_ms_t
-      $ det_shard_t $ replay_workers_t $ lagmon_t $ stats_interval_t
-      $ metrics_json_t $ trace_out_t $ trace_detail_t $ log_level_t
-      $ log_filter_t)
+      const run $ Cli.run
+      $ int_opt_t "fail-backup-ms" ~docv:"MS"
+          ~doc:"Fail-stop the first live backup (backup 0)."
+      $ int_opt_t "fail-primary-ms" ~docv:"MS" ~doc:"Fail-stop the primary."
+      $ Cli.config
+          ~base:{ base with Cluster.replicas = 3 }
+          [ `Driver_ms; `Det_shard; `Replay_workers; `Lagmon ])
 
 (* {1 slo} *)
 
 let slo_cmd =
-  let run seed concurrency page_kb cpu_us listen_shards admission warmup_ms
-      fail_at_ms run_for_ms driver_ms batch det_shard replay_workers lagmon
-      reprotect regen_delay_ms stats_interval metrics_json trace_out
-      trace_detail log_level log_filter =
-    setup_logging log_level log_filter;
-    let eng = Engine.create ~seed () in
-    apply_detail eng trace_detail;
-    arm_stats eng stats_interval;
-    let config =
-      {
-        Slo.default_config with
-        Cluster.driver_load_time = Time.ms driver_ms;
-        batch;
-        det_shard;
-        replay_workers;
-        lagmon = lagmon_config_of lagmon;
-        reprotect;
-        regen_delay = Time.ms regen_delay_ms;
-      }
-    in
-    let r =
+  let run r concurrency page_kb cpu_us listen_shards admission warmup_ms
+      fail_at_ms run_for_ms config =
+    let eng = Cli.engine r in
+    let res =
       Slo.run eng ~config ~concurrency ~page_bytes:(page_kb * 1024)
         ~cpu_per_request:(Time.us cpu_us) ~listen_shards ?admission
         ~warmup:(Time.ms warmup_ms) ~fail_at:(Time.ms fail_at_ms)
         ~run_for:(Time.ms run_for_ms) ()
     in
-    dump_metrics eng metrics_json;
-    dump_trace eng trace_out;
-    Slo.print_table r
-  in
-  let concurrency =
-    Arg.(
-      value & opt int 16
-      & info [ "concurrency" ] ~docv:"N" ~doc:"Closed-loop client workers.")
-  in
-  let page_kb =
-    Arg.(
-      value & opt int 10
-      & info [ "page-kb" ] ~docv:"KB" ~doc:"Served page size.")
-  in
-  let cpu_us =
-    Arg.(
-      value & opt int 1000
-      & info [ "cpu-us" ] ~docv:"US" ~doc:"Per-request CPU loop.")
-  in
-  let warmup =
-    Arg.(
-      value & opt int 200
-      & info [ "warmup-ms" ] ~docv:"MS"
-          ~doc:"Server boot time before load is offered.")
-  in
-  let fail_at =
-    Arg.(
-      value & opt int 600
-      & info [ "fail-at-ms" ] ~docv:"MS" ~doc:"Primary failure time.")
-  in
-  let run_for =
-    Arg.(
-      value & opt int 2400
-      & info [ "run-for-ms" ] ~docv:"MS" ~doc:"Total measured run length.")
-  in
-  let driver_ms =
-    Arg.(
-      value & opt int 200
-      & info [ "driver-ms" ] ~docv:"MS"
-          ~doc:"NIC driver reload time at failover.")
+    Cli.dump r eng;
+    Slo.print_table res
   in
   Cmd.v
     (Cmd.info "slo"
@@ -939,11 +460,20 @@ let slo_cmd =
           bounds are the pinned failover.* trace spans, verified against \
           the cluster's own halt/go-live timestamps.")
     Term.(
-      const run $ seed_t $ concurrency $ page_kb $ cpu_us $ listen_shards_t
-      $ admission_t $ warmup $ fail_at $ run_for $ driver_ms $ batch_t
-      $ det_shard_t $ replay_workers_t $ lagmon_t $ reprotect_t
-      $ regen_delay_t $ stats_interval_t $ metrics_json_t $ trace_out_t
-      $ trace_detail_t $ log_level_t $ log_filter_t)
+      const run $ Cli.run
+      $ int_t "concurrency" ~default:16 ~docv:"N"
+          ~doc:"Closed-loop client workers."
+      $ int_t "page-kb" ~default:10 ~docv:"KB" ~doc:"Served page size."
+      $ int_t "cpu-us" ~default:1000 ~docv:"US" ~doc:"Per-request CPU loop."
+      $ Cli.listen_shards $ Cli.admission
+      $ int_t "warmup-ms" ~default:200 ~docv:"MS"
+          ~doc:"Server boot time before load is offered."
+      $ int_t "fail-at-ms" ~default:600 ~docv:"MS" ~doc:"Primary failure time."
+      $ int_t "run-for-ms" ~default:2400 ~docv:"MS"
+          ~doc:"Total measured run length."
+      $ Cli.config ~base:Scenario.fast_failover
+          [ `Driver_ms; `Batch; `Det_shard; `Replay_workers; `Lagmon; `Reprotect;
+            `Regen_delay ])
 
 (* {1 memdump} *)
 
@@ -953,9 +483,8 @@ let memdump_cmd =
     Memcached.apply_load layout ~multiplier;
     let i, d, u = Memlayout.fractions layout in
     (* No engine here; the trace is a single summary event. *)
-    (match trace_out with
-    | None -> ()
-    | Some path -> (
+    Option.iter
+      (fun path ->
         let ev = Evlog.create ~cap:16 () in
         Evlog.emit ev ~comp:"app.memdump" "fractions"
           ~args:
@@ -966,34 +495,30 @@ let memdump_cmd =
               ("delayed", Evlog.Float d);
               ("user", Evlog.Float u);
             ];
-        try Evlog.write_file ev ~format:(trace_format_of_path path) path
-        with Sys_error msg ->
-          Printf.eprintf "ftsim: cannot write trace: %s\n" msg));
+        Cli.write_trace ev path)
+      trace_out;
     Printf.printf
       "memcached at %dx on %d GiB: Ignored %.1f%%  Delayed %.1f%%  User %.1f%%\n"
       multiplier ram_gib (100. *. i) (100. *. d) (100. *. u)
   in
-  let multiplier =
-    Arg.(
-      value & opt int 180
-      & info [ "multiplier" ] ~docv:"N" ~doc:"Dataset size multiplier.")
-  in
-  let ram =
-    Arg.(value & opt int 96 & info [ "ram-gib" ] ~docv:"GIB" ~doc:"Machine RAM.")
-  in
   Cmd.v
     (Cmd.info "memdump"
        ~doc:"Classify physical memory under a memcached load (paper Fig. 1).")
-    Term.(const run $ multiplier $ ram $ trace_out_t)
+    Term.(
+      const run
+      $ int_t "multiplier" ~default:180 ~docv:"N" ~doc:"Dataset size multiplier."
+      $ int_t "ram-gib" ~default:96 ~docv:"GIB" ~doc:"Machine RAM."
+      $ Cli.trace_out)
 
 (* {1 chaos} *)
 
 let chaos_cmd =
-  let run root_seed seeds quick workload replicas horizon_ms jobs det_shard
-      replay_workers reprotect regen_delay_ms listen_shards admission faults
-      stats_interval fail_on_stall report repro_trace log_level log_filter =
-    setup_logging log_level log_filter;
+  let run root_seed seeds quick workload replicas horizon_ms jobs config
+      listen_shards admission faults stats_interval fail_on_stall report
+      repro_trace log =
+    Cli.setup_logging log;
     let stats_interval = Option.map Time.ms stats_interval in
+    let { Cluster.det_shard; replay_workers; reprotect; _ } = config in
     match Chaosrun.workload_of_string workload with
     | Error e ->
         Printf.eprintf "ftsim: %s\n" e;
@@ -1026,13 +551,14 @@ let chaos_cmd =
           (match faults with
           | Some f -> Printf.sprintf ", %d faults per schedule" f
           | None -> "");
+        let run_one ?on_trace ?stats_interval s =
+          Chaosrun.run ?on_trace ?stats_interval ~config ~listen_shards
+            ?admission ~workload:w ~replicas s
+        in
         let rep =
           Chaos.run_campaign ~root_seed ~count:seeds ~replicas ~horizon
             ~workload
-            ~run:(fun s ->
-              Chaosrun.run ?stats_interval ~det_shard ~replay_workers
-                ~reprotect ~regen_delay:(Time.ms regen_delay_ms)
-                ~listen_shards ?admission ~workload:w ~replicas s)
+            ~run:(run_one ?stats_interval)
             ?faults ~progress ~jobs ()
         in
         (match report with
@@ -1050,22 +576,12 @@ let chaos_cmd =
             Format.printf "minimal repro (%d shrink runs): %a@.verdict: %s@."
               runs Chaos.pp_schedule minimal
               (Chaos.verdict_label o.Chaos.verdict);
-            match repro_trace with
-            | None -> ()
-            | Some path ->
-                (* Re-run the minimal schedule once to capture its trace. *)
+            (* Re-run the minimal schedule once to capture its trace. *)
+            Option.iter
+              (fun path ->
                 ignore
-                  (Chaosrun.run ~det_shard ~replay_workers ~reprotect
-                     ~regen_delay:(Time.ms regen_delay_ms) ~listen_shards
-                     ?admission ~workload:w ~replicas
-                     ~on_trace:(fun ev ->
-                       try
-                         Evlog.write_file ev
-                           ~format:(trace_format_of_path path)
-                           path
-                       with Sys_error msg ->
-                         Printf.eprintf "ftsim: cannot write trace: %s\n" msg)
-                     minimal));
+                  (run_one ~on_trace:(fun ev -> Cli.write_trace ev path) minimal))
+              repro_trace);
         let fails = Chaos.failures rep in
         let count v =
           List.length
@@ -1120,17 +636,6 @@ let chaos_cmd =
           exit 1
         end
   in
-  let root_seed =
-    Arg.(
-      value & opt int 42
-      & info [ "root-seed" ] ~docv:"N"
-          ~doc:"Campaign root seed; schedule $(i,i) derives from (seed, i).")
-  in
-  let seeds =
-    Arg.(
-      value & opt int 20
-      & info [ "seeds" ] ~docv:"N" ~doc:"Number of schedules to derive and run.")
-  in
   let quick =
     Arg.(
       value & flag
@@ -1143,26 +648,6 @@ let chaos_cmd =
       value & opt string "fileserver"
       & info [ "workload" ] ~docv:"NAME"
           ~doc:"Workload under test: $(b,fileserver) or $(b,mongoose).")
-  in
-  let replicas =
-    Arg.(
-      value & opt int 2
-      & info [ "replicas" ] ~docv:"N" ~doc:"Replica count (2 or 3).")
-  in
-  let horizon_ms =
-    Arg.(
-      value & opt int 3000
-      & info [ "horizon-ms" ] ~docv:"MS"
-          ~doc:"Simulated-time cap per run; faults land in its first 3/4.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains the campaign fans schedules out across \
-             ($(b,0) = auto: all cores but one).  The merged report is \
-             byte-identical for every $(docv); only wall-clock changes.")
   in
   let report =
     Arg.(
@@ -1188,14 +673,12 @@ let chaos_cmd =
              (CI uses this: clean seeds must never stall).")
   in
   let faults =
-    Arg.(
-      value & opt (some int) None
-      & info [ "faults" ] ~docv:"N"
-          ~doc:
-            "Derive multi-fault schedules with exactly $(docv) fail-stop-\
-             dominant injections each (instead of the classic 0-2 fault \
-             draws).  Pair with $(b,--reprotect on) so each kill is \
-             followed by a regeneration the next fault can land on.")
+    int_opt_t "faults" ~docv:"N"
+      ~doc:
+        "Derive multi-fault schedules with exactly $(docv) fail-stop-\
+         dominant injections each (instead of the classic 0-2 fault draws). \
+         Pair with $(b,--reprotect on) so each kill is followed by a \
+         regeneration the next fault can land on."
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1203,10 +686,20 @@ let chaos_cmd =
          "Chaos campaign: derived fault schedules + replica-divergence \
           checker + client-consistency oracle.")
     Term.(
-      const run $ root_seed $ seeds $ quick $ workload $ replicas $ horizon_ms
-      $ jobs $ det_shard_t $ replay_workers_t $ reprotect_t $ regen_delay_t
-      $ listen_shards_t $ admission_t $ faults $ stats_interval_t
-      $ fail_on_stall $ report $ repro_trace $ log_level_t $ log_filter_t)
+      const run
+      $ int_t "root-seed" ~default:42 ~docv:"N"
+          ~doc:"Campaign root seed; schedule $(i,i) derives from (seed, i)."
+      $ int_t "seeds" ~default:20 ~docv:"N"
+          ~doc:"Number of schedules to derive and run."
+      $ quick $ workload
+      $ int_t "replicas" ~default:2 ~docv:"N" ~doc:"Replica count (2 or 3)."
+      $ int_t "horizon-ms" ~default:3000 ~docv:"MS"
+          ~doc:"Simulated-time cap per run; faults land in its first 3/4."
+      $ Cli.jobs
+      $ Cli.config ~base:Chaosrun.config
+          [ `Det_shard; `Replay_workers; `Reprotect; `Regen_delay ]
+      $ Cli.listen_shards $ Cli.admission $ faults $ Cli.stats_interval
+      $ fail_on_stall $ report $ repro_trace $ Cli.log)
 
 let () =
   let info =

@@ -14,24 +14,6 @@ let workload_to_string = function
   | Fileserver -> "fileserver"
   | Mongoose -> "mongoose"
 
-(* Small machine, tight failure detection, fast driver reload: one chaos run
-   settles in a couple of simulated seconds instead of the paper's ~5 s
-   recovery, so a 50-schedule campaign stays cheap. *)
-let fast_config topology =
-  {
-    Cluster.default_config with
-    topology;
-    hb_period = Time.ms 5;
-    hb_timeout = Time.ms 25;
-    driver_load_time = Time.ms 200;
-    (* Replication health is monitored on every chaos run, quietly: gauges
-       and verdicts update but nothing reaches the Evlog, so repro traces
-       stay byte-identical to monitor-off runs.  [stall_after] (150 ms)
-       sits far above the 25 ms heartbeat timeout: a dead peer is detected
-       and the monitor frozen long before a stall could be declared. *)
-    lagmon = Some { Lagmon.default_config with Lagmon.quiet = true };
-  }
-
 let small4 =
   {
     Topology.sockets = 4;
@@ -39,9 +21,6 @@ let small4 =
     numa_nodes = 4;
     ram_bytes = 8 * 1024 * 1024 * 1024;
   }
-
-let server_ip = "10.0.0.1"
-let client_ip = "10.0.0.9"
 
 (* Workload sizing: the active window should overlap the schedule's fault
    window, so the transfer is made long enough that mid-stream and
@@ -67,7 +46,7 @@ let app_and_oracle ?(listen_shards = 1) ?admission workload =
       in
       let oracle client =
         (* The file server closes the connection after one response. *)
-        Loadgen.verified_start client ~server:server_ip ~port:80 ~target:"/f"
+        Loadgen.verified_start client ~server:Scenario.server_ip ~port:80 ~target:"/f"
           ~expect_bytes:bytes ~requests:1 ~allow_shed ()
       in
       (app, oracle)
@@ -86,7 +65,7 @@ let app_and_oracle ?(listen_shards = 1) ?admission workload =
           api
       in
       let oracle client =
-        Loadgen.verified_start client ~server:server_ip ~port:80 ~target:"/"
+        Loadgen.verified_start client ~server:Scenario.server_ip ~port:80 ~target:"/"
           ~expect_bytes:page ~requests:300 ~allow_shed ()
       in
       (app, oracle)
@@ -229,55 +208,66 @@ let arm_stats eng sched = function
         (Statsdump.arm eng ~every
            ~label:(Printf.sprintf "#%03d" sched.Chaos.sched_index))
 
-let run ?on_trace ?stats_interval ?(mutate = false) ?(det_shard = true)
-    ?(replay_workers = 1) ?(reprotect = false) ?(regen_delay = Time.ms 50)
+(* Replication health is monitored on every chaos run, quietly: gauges and
+   verdicts update but nothing reaches the Evlog, so repro traces stay
+   byte-identical to monitor-off runs.  [stall_after] (150 ms) sits far
+   above the 25 ms heartbeat timeout: a dead peer is detected and the
+   monitor frozen long before a stall could be declared. *)
+let config =
+  {
+    Scenario.fast_failover with
+    Cluster.lagmon = Some { Lagmon.default_config with Lagmon.quiet = true };
+  }
+
+let run ?on_trace ?stats_interval ?(mutate = false) ?(config = config)
     ?listen_shards ?admission ~workload ~replicas sched =
   let eng = Engine.create ~seed:sched.Chaos.sched_seed () in
   arm_stats eng sched stats_interval;
-  let link =
-    Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100)
-      ~seed_split:(Engine.prng eng) ()
-  in
   let app, mk_oracle = app_and_oracle ?listen_shards ?admission workload in
-  let topology = if replicas = 3 then small4 else Topology.small in
-  let cluster =
-    Cluster.create eng
-      ~config:
-        {
-          (fast_config topology) with
-          Cluster.replicas;
-          det_shard;
-          replay_workers;
-          reprotect;
-          regen_delay;
-        }
-      ~link:(Link.endpoint_a link) ~app ()
+  let config =
+    {
+      config with
+      Cluster.topology = (if replicas = 3 then small4 else config.topology);
+      replicas;
+    }
   in
-  if mutate then
-    Namespace.mutate_skip_digest
-      (Cluster.secondary_namespace cluster)
-      ~global_seq:0;
-  (if reprotect then inject_schedule_live eng cluster sched
-   else
-     let part_of = function
-       | Chaos.T_primary -> Cluster.primary_partition cluster
-       | Chaos.T_backup i ->
-           Cluster.backup_partition cluster (i mod (replicas - 1))
-     in
-     inject_schedule (Cluster.machine cluster) ~part_of sched);
-  perturb_schedule eng link sched;
-  let client = Host.create eng ~ip:client_ip (Link.endpoint_b link) in
-  let oracle = mk_oracle client in
-  spawn_stopper eng oracle sched;
-  Engine.run ~until:sched.Chaos.horizon eng;
-  Cluster.shutdown cluster;
+  let setup (env : Scenario.env) =
+    let cluster = Option.get env.cluster in
+    if mutate then
+      Namespace.mutate_skip_digest
+        (Cluster.secondary_namespace cluster)
+        ~global_seq:0;
+    (if config.reprotect then inject_schedule_live eng cluster sched
+     else
+       let part_of = function
+         | Chaos.T_primary -> Cluster.primary_partition cluster
+         | Chaos.T_backup i ->
+             Cluster.backup_partition cluster (i mod (replicas - 1))
+       in
+       inject_schedule (Cluster.machine cluster) ~part_of sched);
+    perturb_schedule eng (Option.get env.link) sched
+  in
+  let oracle = ref None in
+  let client host =
+    let o = mk_oracle host in
+    oracle := Some o;
+    spawn_stopper eng o sched
+  in
+  let r =
+    Scenario.run eng
+      (Scenario.make ~seeded_link:true ~setup (Replicated config) app
+         (Client client)
+         [ Until sched.Chaos.horizon ])
+  in
+  let cluster = Scenario.cluster r in
   let sections =
     match Namespace.digest (Cluster.primary_namespace cluster) with
     | Some d -> Digest.comparison_points d
     | None -> 0
   in
   let outcome =
-    judge ~oracle ~all_halted:(Cluster.all_halted cluster)
+    judge ~oracle:(Option.get !oracle)
+      ~all_halted:(Cluster.all_halted cluster)
       ~replay_div:(Cluster.replay_divergence cluster)
       ~digest_div:(Cluster.compare_digests cluster)
       ~failovers:(Cluster.failover_count cluster)

@@ -1,10 +1,11 @@
 (** Workload scenario runner for chaos campaigns.
 
-    Builds one complete simulation per schedule — a replicated server
-    cluster (two or three replicas), a client host across the modelled
-    1 Gb/s link, the workload application, and a {!Loadgen.verified_start}
-    client-consistency oracle — applies the schedule's fault injections and
-    link-perturbation windows, runs to quiescence, and judges the run:
+    Builds one complete simulation per schedule as a {!Scenario} — a
+    replicated server cluster (two or three replicas) on
+    {!Scenario.fast_failover} timings, the workload application, and a
+    {!Loadgen.verified_start} client-consistency oracle as its client —
+    arms the schedule's fault injections and link-perturbation windows in
+    the scenario's [setup], runs to quiescence, and judges the run:
     replica-digest comparison and replay-divergence flags decide
     [V_divergence]; the oracle decides [V_client_violation]; a run that
     killed every replica is an [V_outage] (excusing a truncated client
@@ -18,14 +19,16 @@ type workload = Fileserver | Mongoose
 val workload_of_string : string -> (workload, string) result
 val workload_to_string : workload -> string
 
+val config : Cluster.config
+(** The chaos preset: {!Scenario.fast_failover} with a quiet {!Lagmon}
+    (gauges and verdicts update, nothing reaches the Evlog, so repro traces
+    stay byte-identical to monitor-off runs). *)
+
 val run :
   ?on_trace:(Evlog.t -> unit) ->
   ?stats_interval:Time.t ->
   ?mutate:bool ->
-  ?det_shard:bool ->
-  ?replay_workers:int ->
-  ?reprotect:bool ->
-  ?regen_delay:Time.t ->
+  ?config:Cluster.config ->
   ?listen_shards:int ->
   ?admission:int ->
   workload:workload ->
@@ -37,22 +40,19 @@ val run :
     {!Statsdump} printer on each run's engine (stderr, labelled with the
     schedule index).  [mutate] (testing only) makes the secondary skip one
     sync tuple's digest fold, proving the checker detects a seeded
-    divergence.  [det_shard] (default true) selects the per-channel
-    deterministic-section core; [false] restores the namespace-global total
-    order.  [replay_workers] (default 1) sizes the backups' replay-executor
-    pools (see {!Cluster.config}).
+    divergence.
 
-    [replicas] (2 or 3) is {!Cluster.config}'s [replicas]; three replicas
-    run on a 4-NUMA-node machine.  Shapes {!Cluster.create} rejects raise
-    [Invalid_argument].
+    [config] (default {!config}) is the replicated server; its
+    [replicas] and, for three replicas, its [topology] are set from
+    [replicas]: three replicas run on a 4-NUMA-node machine.  Shapes
+    {!Cluster.create} rejects raise [Invalid_argument].
 
-    [reprotect] (default false; two replicas only) turns on {!Cluster}
-    live re-protection with a [regen_delay] dwell (default 50 ms):
-    injections then resolve their target partition {e at fire time}
-    through the lifecycle API — roles move across failovers and epoch
-    switches, and a fault landing on an already-halted target is a no-op.
-    Every run's failover count and outage test come from
-    {!Cluster.failover_count} and {!Cluster.all_halted}.  Pair with
+    With [config.reprotect] (two replicas only), {!Cluster} live
+    re-protection is on: injections then resolve their target partition
+    {e at fire time} through the lifecycle API — roles move across
+    failovers and epoch switches, and a fault landing on an already-halted
+    target is a no-op.  Every run's failover count and outage test come
+    from {!Cluster.failover_count} and {!Cluster.all_halted}.  Pair with
     {!Chaos.derive_multi} schedules to exercise kill → regenerate cycles
     of arbitrary length.
 
@@ -64,7 +64,5 @@ val run :
     knobs stress the replicated accept/shed machinery under chaos without
     weakening the exactly-once check.
 
-    Every run monitors replication health with a quiet {!Lagmon} (gauges
-    and verdicts update, nothing reaches the Evlog — repro traces stay
-    byte-identical to monitor-off runs); the worst verdict label lands in
-    the outcome's [o_lag]. *)
+    The worst verdict label of the cluster's {!Lagmon}s lands in the
+    outcome's [o_lag]. *)

@@ -1,68 +1,33 @@
 open Ftsim_sim
-open Ftsim_hw
-open Ftsim_netstack
 open Ftsim_ftlinux
 
 (* SLO reporter: a replicated Mongoose served to closed-loop ApacheBench
    workers through an injected primary fail-stop, with per-request latency
-   split into pre-fault / failover-window / post-recovery phases.
-
-   The failover window is not guessed from histogram windows: its bounds
-   come from the pinned failover.* Evlog spans (detect begin .. golive
-   end), and completions are classified post-hoc by pure time comparison
-   against those bounds — so the phase split is exact, to the nanosecond
-   the spans record. *)
-
-let server_ip = "10.0.0.1"
-let client_ip = "10.0.0.9"
-
-let default_config =
-  {
-    Cluster.default_config with
-    topology = Topology.small;
-    hb_period = Time.ms 5;
-    hb_timeout = Time.ms 25;
-    driver_load_time = Time.ms 200;
-    lagmon = Some Lagmon.default_config;
-  }
+   split into pre-fault / failover-window / post-recovery phases by
+   {!Scenario.run}. *)
 
 type report = {
   fail_at : Time.t;
   window : (Time.t * Time.t) option;
-      (* failover window: begin of the pinned "failover.detect" span to end
-         of the pinned "failover.golive" span; None if the fault never
-         triggered a failover *)
   span_bounds_ok : bool;
-      (* the span-derived bounds equal the cluster's own halt/completion
-         timestamps *)
-  pre : Metrics.Hist.t;  (* completions with done_at < window lo, ms *)
-  fo : Metrics.Hist.t;  (* completions inside [lo, hi], ms *)
-  post : Metrics.Hist.t;  (* completions with done_at > window hi, ms *)
+  pre : Metrics.Hist.t;
+  fo : Metrics.Hist.t;
+  post : Metrics.Hist.t;
   completions : (Time.t * Time.t) list;
-      (* every successful request as (done_at, latency), oldest first *)
   completed : int;
   errors : int;
-  latency_w : Metrics.Whist.t;  (* the live windowed view of the same data *)
-  lag_verdict : Lagmon.verdict option;  (* final, when the monitor ran *)
+  latency_w : Metrics.Whist.t;
+  lag_verdict : Lagmon.verdict option;
   lag_worst : Lagmon.verdict option;
 }
 
-let phase_of ~window ~at =
-  match window with
-  | None -> `Pre
-  | Some (lo, hi) -> if at < lo then `Pre else if at > hi then `Post else `Fo
-
-let run eng ?(config = default_config) ?(concurrency = 16)
+let run eng ?(config = Scenario.fast_failover) ?(concurrency = 16)
     ?(page_bytes = 10 * 1024) ?(cpu_per_request = Time.ms 1)
     ?(listen_shards = 1) ?admission ?(warmup = Time.ms 200)
     ?(fail_at = Time.ms 600) ?(run_for = Time.ms 2400) () =
   if fail_at <= warmup then invalid_arg "Slo.run: fail_at must be after warmup";
   if run_for <= fail_at then invalid_arg "Slo.run: run_for must be after fail_at";
-  let link =
-    Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100)
-      ~seed_split:(Engine.prng eng) ()
-  in
-  let app api =
+  let app =
     Mongoose.run
       ~params:
         {
@@ -72,70 +37,24 @@ let run eng ?(config = default_config) ?(concurrency = 16)
           listen_shards;
           admission;
         }
-      api
   in
-  let cluster =
-    Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app ()
+  let r =
+    Scenario.run eng
+      (Scenario.make ~kills:[ (Replica_set.Primary, fail_at) ]
+         ~drain:(Time.ms 100) ~seeded_link:true (Replicated config) app
+         (Ab { target = "/"; concurrency; start = Some warmup })
+         [ Until run_for ])
   in
-  Cluster.kill cluster ~role:Replica_set.Primary ~at:fail_at;
-  let client = Host.create eng ~ip:client_ip (Link.endpoint_b link) in
-  (* Let the server boot and listen before offering load. *)
-  Engine.run ~until:warmup eng;
-  let completions = ref [] in
-  let ab =
-    Loadgen.ab_start client ~server:server_ip ~port:80 ~target:"/"
-      ~concurrency
-      ~on_complete:(fun ~at ~latency ->
-        completions := (at, latency) :: !completions)
-      ()
-  in
-  Engine.run ~until:run_for eng;
-  Loadgen.ab_stop ab;
-  Cluster.shutdown cluster;
-  (* Drain: let in-flight requests and timers settle so the engine ends
-     quiet (the stopper pattern of the bench harness). *)
-  Engine.run ~until:(run_for + Time.ms 100) eng;
-  let stats = Loadgen.ab_stats ab in
-  let evs = Evlog.events (Engine.evlog eng) in
-  let window =
-    match
-      ( Evlog.Query.span_of ~comp:"ft.cluster" ~name:"failover.detect" evs,
-        Evlog.Query.span_of ~comp:"ft.cluster" ~name:"failover.golive" evs )
-    with
-    | Some (detect_begin, _), Some (_, golive_end) ->
-        Some (detect_begin, golive_end)
-    | _ -> None
-  in
-  let span_bounds_ok =
-    match
-      ( window,
-        Cluster.primary_halted_at cluster,
-        Cluster.failover_completed_at cluster )
-    with
-    | Some (lo, hi), Some halted, Some completed -> lo = halted && hi = completed
-    | None, None, None -> true
-    | _ -> false
-  in
-  let pre = Metrics.Hist.create ()
-  and fo = Metrics.Hist.create ()
-  and post = Metrics.Hist.create () in
-  let completions = List.rev !completions in
-  List.iter
-    (fun (at, latency) ->
-      let h =
-        match phase_of ~window ~at with `Pre -> pre | `Fo -> fo | `Post -> post
-      in
-      Metrics.Hist.record h (Time.to_ms_f latency))
-    completions;
-  let lagmon = Cluster.lagmon cluster in
+  let stats = Scenario.ab_stats r in
+  let lagmon = Cluster.lagmon (Scenario.cluster r) in
   {
     fail_at;
-    window;
-    span_bounds_ok;
-    pre;
-    fo;
-    post;
-    completions;
+    window = r.window;
+    span_bounds_ok = r.bounds_ok;
+    pre = r.pre;
+    fo = r.fo;
+    post = r.post;
+    completions = r.completions;
     completed = Metrics.Counter.value stats.Loadgen.completed;
     errors = Metrics.Counter.value stats.Loadgen.errors;
     latency_w = stats.Loadgen.latency_w;
@@ -146,8 +65,9 @@ let run eng ?(config = default_config) ?(concurrency = 16)
 (* The phase-split percentile table `ftsim slo` prints. *)
 let print_table r =
   let cell h q =
-    if Metrics.Hist.count h = 0 then "-"
-    else Printf.sprintf "%.2f" (Metrics.Hist.quantile h q)
+    match Scenario.quantile h q with
+    | None -> "-"
+    | Some v -> Printf.sprintf "%.2f" v
   in
   let row label h =
     Printf.printf "%-16s %8d %10s %10s %10s %10s\n" label (Metrics.Hist.count h)

@@ -2,18 +2,12 @@
 
     Runs a replicated {!Mongoose} under closed-loop ApacheBench load, injects
     a primary fail-stop, and splits per-request latency into pre-fault /
-    failover-window / post-recovery phases.  The failover window's bounds are
-    the pinned [failover.*] Evlog spans (begin of [failover.detect] to end of
-    [failover.golive]), and completions are classified post-hoc by exact time
-    comparison against those bounds — not by histogram-window granularity. *)
+    failover-window / post-recovery phases — a preset of {!Scenario}, which
+    takes the window's bounds from the pinned [failover.*] Evlog spans and
+    classifies completions by exact time comparison against them. *)
 
 open Ftsim_sim
 open Ftsim_ftlinux
-
-val default_config : Cluster.config
-(** Small topology, 5 ms heart-beats / 25 ms timeout, 200 ms driver reload,
-    replication-health monitor on — one run settles in a few simulated
-    seconds. *)
 
 type report = {
   fail_at : Time.t;
@@ -48,9 +42,10 @@ val run :
   ?run_for:Time.t ->
   unit ->
   report
-(** Boot the cluster, warm up until [warmup] (default 200 ms), offer load
-    with [concurrency] (default 16) workers, fail the primary at [fail_at]
-    (default 600 ms), run until [run_for] (default 2.4 s), then classify.
+(** Boot the cluster ([config] defaults to {!Scenario.fast_failover}),
+    warm up until [warmup] (default 200 ms), offer load with [concurrency]
+    (default 16) workers, fail the primary at [fail_at] (default 600 ms),
+    run until [run_for] (default 2.4 s), then classify.
     [listen_shards] / [admission] configure the server's accept-queue
     sharding and in-flight budget ({!Mongoose.params}).  Deterministic for
     a fixed engine seed. *)

@@ -69,12 +69,13 @@ type config = {
   split : [ `Symmetric | `Asymmetric of int ];
       (** [`Asymmetric n]: n-core primary, 1-core secondary (§4.3) *)
   kernel_config : Kernel.config;
-  tcp_config : Tcp.config;
   mailbox_config : Mailbox.config;
   hb_period : Time.t;
   hb_timeout : Time.t;
   output_commit : bool;
-  ack_commit : bool;
+      (** §3.5 output commit (default true): outbound data segments and
+          ACKs of client input both wait for the log to be stable on the
+          backups; [false] releases both at once (Ablation B) *)
   det_shard : bool;
       (** per-object channels for deterministic sections (default true);
           [false] restores the namespace-global total order *)
@@ -84,9 +85,6 @@ type config = {
           per-channel × per-thread partial order serializes replay; most
           effective with [det_shard = true] *)
   driver_load_time : Time.t;
-  delta_replay_cost : Time.t;
-      (** secondary-side cost of absorbing one TCP delta (the
-          [wake_up_process] latency applies only to thread-waking records) *)
   batch : Msglayer.batch_config;
       (** sync-tuple streaming batch/ack-coalescing knobs; defaults to
           {!Msglayer.default_batch} (batching on).  Use
@@ -109,17 +107,18 @@ type config = {
   regen_delay : Time.t;
       (** dwell in [Degraded] before regeneration starts (and between
           retries after an aborted regeneration); default 100 ms *)
-  regen_bw : int;
-      (** modelled snapshot-copy bandwidth in bytes/s (default 2 GB/s):
-          the epoch switch cannot complete before the classified User
-          bytes have been copied at this rate *)
   regen_layout : Memlayout.t option;
       (** memory classification driving the snapshot budget: User bytes
-          are copied (gating the switch deadline), Delayed bytes transfer
-          lazily, Ignored kernel state is reconstructed by the fresh boot
-          plus journal replay.  [None] (default) models a freshly booted
-          layout. *)
+          are copied at {!regen_bw} (gating the switch deadline), Delayed
+          bytes transfer lazily, Ignored kernel state is reconstructed by
+          the fresh boot plus journal replay.  [None] (default) models a
+          freshly booted layout. *)
 }
+
+val regen_bw : int
+(** Modelled snapshot-copy bandwidth of a regeneration, 2 GB/s: the epoch
+    switch cannot complete before the classified User bytes have been
+    copied at this rate. *)
 
 val default_config : config
 (** Paper testbed: 64-core/8-node machine split symmetrically, 0.55 µs
@@ -273,8 +272,6 @@ val create_standalone :
   Engine.t ->
   ?topology:Topology.spec ->
   ?cores:int ->
-  ?kernel_config:Kernel.config ->
-  ?tcp_config:Tcp.config ->
   ?server_ip:string ->
   ?link:Link.endpoint ->
   app:Api.app ->

@@ -22,7 +22,8 @@ type t = {
   mutable live : bool;
   mutable the_api : Api.t option;
   mutable output_commit : bool;
-  mutable ack_commit : bool;
+      (* §3.5: gates both client-input ACKs and outbound data segments on
+         log stability *)
   vfs : Vfs.t;
   env : (string * string) list;
   mutable diverged : string option;  (* first replay divergence observed *)
@@ -199,7 +200,6 @@ let standalone kernel ?stack ?(env = []) () =
       live = true;
       the_api = None;
       output_commit = false;
-      ack_commit = false;
       vfs = Vfs.create ();
       env;
       diverged = None;
@@ -265,7 +265,7 @@ let install_primary_tcp_hooks t stack =
              (* The client's data may be acknowledged only once its logging
                 is stable: otherwise a primary crash could lose input the
                 client will never retransmit. *)
-             if t.ack_commit then wait_tail "ack" ());
+             if t.output_commit then wait_tail "ack" ());
          egress_gate =
            (fun c ~len ->
              (* The size of every output segment is forwarded before it is
@@ -531,7 +531,7 @@ let primary_api t =
   }
 
 let primary kernel ~sink ?stack ?(env = []) ?(det_shard = true) ~output_commit
-    ~ack_commit () =
+    () =
   let det = Det.create_primary ~shard:det_shard (Kernel.engine kernel) sink in
   let pt = Pthread.create kernel in
   Pthread.set_hooks pt (Some (Det.pthread_hooks det));
@@ -551,7 +551,6 @@ let primary kernel ~sink ?stack ?(env = []) ?(det_shard = true) ~output_commit
       live = false;
       the_api = None;
       output_commit;
-      ack_commit;
       vfs = Vfs.create ();
       env;
       diverged = None;
@@ -841,7 +840,6 @@ let secondary kernel ?(env = []) ?(det_shard = true) () =
       live = false;
       the_api = None;
       output_commit = false;
-      ack_commit = false;
       vfs = Vfs.create ();
       env;
       diverged = None;
@@ -903,7 +901,6 @@ type promotion = {
          promoted primary keeps each connection's replication cid, so its
          deltas continue the same per-connection streams *)
   pr_output_commit : bool;
-  pr_ack_commit : bool;
 }
 
 let go_live t ?stack ?(listeners = []) ?promote () =
@@ -930,7 +927,6 @@ let go_live t ?stack ?(listeners = []) ?promote () =
       t.ml <- Some pr.pr_sink;
       t.mode <- M_primary;
       t.output_commit <- pr.pr_output_commit;
-      t.ack_commit <- pr.pr_ack_commit;
       List.iter
         (fun (cid, c) ->
           Hashtbl.replace t.cid_of_conn (Tcp.conn_id c) cid;

@@ -30,13 +30,12 @@ val primary :
   ?env:(string * string) list ->
   ?det_shard:bool ->
   output_commit:bool ->
-  ack_commit:bool ->
   unit ->
   t
 (** Installs pthread hooks and (when [stack] is given) TCP hooks.
-    [output_commit] gates outbound data segments on log stability;
-    [ack_commit] gates ACKs of client input on the input having been logged
-    stably (both default design choices of the paper, §3.5).  [det_shard]
+    [output_commit] gates both outbound data segments and ACKs of client
+    input on the log being stable (the paper's §3.5 design choice; [false]
+    releases both at once, the relaxed mode of Ablation B).  [det_shard]
     (default true) runs deterministic sections on per-object channels;
     [false] restores the namespace-global total order. *)
 
@@ -65,7 +64,6 @@ type promotion = {
           connections keep their replication cids so the promoted
           primary's deltas continue the same per-connection streams *)
   pr_output_commit : bool;
-  pr_ack_commit : bool;
 }
 
 val go_live :

@@ -542,6 +542,103 @@ let test_failover_requeues_unaccepted () =
     true
     (errors = 0 && ok = conns)
 
+(* {1 Scenario harness} *)
+
+(* A small replicated web server under closed-loop load, optionally killed
+   mid-run: the shape every SLO-style experiment builds. *)
+let web_scenario ?(kills = []) () =
+  Scenario.make ~kills ~drain:(Time.ms 100) (Replicated Scenario.fast_failover)
+    (Mongoose.run
+       ~params:{ Mongoose.default_params with Mongoose.cpu_per_request = Time.ms 1 })
+    (Ab { target = "/"; concurrency = 4; start = Some (Time.ms 200) })
+    [ Until (Time.ms 500); Until (Time.ms 1200) ]
+
+let test_scenario_no_fault_phases_empty () =
+  let r = Scenario.run (Engine.create ~seed:3 ()) (web_scenario ()) in
+  Alcotest.(check bool) "no failover window" true (r.Scenario.window = None);
+  Alcotest.(check bool) "bounds agree (both absent)" true r.Scenario.bounds_ok;
+  Alcotest.(check bool) "pre-fault phase has traffic" true
+    (Metrics.Hist.count r.Scenario.pre > 0);
+  List.iter
+    (fun (name, h) ->
+      Alcotest.(check int) (name ^ " holds no completions") 0 (Metrics.Hist.count h);
+      Alcotest.(check bool)
+        (name ^ " p999 is absent, not 0 ms")
+        true
+        (Scenario.quantile h 0.999 = None))
+    [ ("failover", r.Scenario.fo); ("post-recovery", r.Scenario.post) ];
+  match Scenario.quantile r.Scenario.pre 0.5 with
+  | Some p50 -> Alcotest.(check bool) "pre p50 is a latency" true (p50 > 0.)
+  | None -> Alcotest.fail "pre-fault phase reported empty"
+
+let test_scenario_phases_partition () =
+  let r =
+    Scenario.run (Engine.create ~seed:5 ())
+      (web_scenario ~kills:[ (Replica_set.Primary, Time.ms 600) ] ())
+  in
+  let lo, hi =
+    match r.Scenario.window with
+    | Some w -> w
+    | None -> Alcotest.fail "expected a failover window"
+  in
+  Alcotest.(check bool) "span bounds equal cluster bounds" true
+    r.Scenario.bounds_ok;
+  let count p = List.length (List.filter p r.Scenario.completions) in
+  Alcotest.(check int) "pre = completions before the window"
+    (count (fun (at, _) -> at < lo))
+    (Metrics.Hist.count r.Scenario.pre);
+  Alcotest.(check int) "fo = completions inside the window"
+    (count (fun (at, _) -> at >= lo && at <= hi))
+    (Metrics.Hist.count r.Scenario.fo);
+  Alcotest.(check int) "post = completions after the window"
+    (count (fun (at, _) -> at > hi))
+    (Metrics.Hist.count r.Scenario.post);
+  Alcotest.(check int) "every completion counted once"
+    (Metrics.Counter.value (Scenario.ab_stats r).Loadgen.completed)
+    (Metrics.Hist.count r.Scenario.pre
+    + Metrics.Hist.count r.Scenario.fo
+    + Metrics.Hist.count r.Scenario.post);
+  Alcotest.(check bool) "post-recovery phase saw traffic" true
+    (Metrics.Hist.count r.Scenario.post > 0)
+
+let test_scenario_deterministic () =
+  let run () =
+    let r =
+      Scenario.run (Engine.create ~seed:9 ())
+        (web_scenario ~kills:[ (Replica_set.Primary, Time.ms 600) ] ())
+    in
+    ( r.Scenario.marks,
+      r.Scenario.completions,
+      r.Scenario.window,
+      List.map
+        (fun h -> Scenario.quantile h 0.99)
+        [ r.Scenario.pre; r.Scenario.fo; r.Scenario.post ] )
+  in
+  let a = run () and b = run () in
+  Alcotest.(check bool) "same seed, same report" true (a = b)
+
+(* A compute run whose primary dies mid-way finishes on the promoted
+   backup: that copy's return is the completion. *)
+let test_scenario_completion_after_takeover () =
+  let params = { Pbzip2.default_params with Pbzip2.file_bytes = 8 * 1024 * 1024 } in
+  let run kills =
+    Scenario.run_to_completion (Engine.create ~seed:4 ()) ~kills
+      (Replicated Scenario.fast_failover) ~cap:(Time.sec 60)
+      (fun ~serving:_ api -> Pbzip2.run ~params api)
+  in
+  let clean =
+    match run [] with
+    | Some t, _ -> t
+    | None, _ -> Alcotest.fail "no-fault run did not finish"
+  in
+  let kill_at = clean / 2 in
+  match run [ (Replica_set.Primary, kill_at) ] with
+  | Some t, r ->
+      Alcotest.(check int) "one takeover" 1
+        (Cluster.failover_count (Scenario.cluster r));
+      Alcotest.(check bool) "finished after the kill" true (t > kill_at)
+  | None, _ -> Alcotest.fail "the promoted backup's completion was not seen"
+
 let () =
   Alcotest.run "apps"
     [
@@ -578,6 +675,16 @@ let () =
         [
           Alcotest.test_case "phase split" `Quick test_slo_phase_split;
           Alcotest.test_case "deterministic" `Quick test_slo_deterministic;
+        ] );
+      ( "scenario",
+        [
+          Alcotest.test_case "no-fault phases empty" `Quick
+            test_scenario_no_fault_phases_empty;
+          Alcotest.test_case "phases partition completions" `Quick
+            test_scenario_phases_partition;
+          Alcotest.test_case "deterministic" `Quick test_scenario_deterministic;
+          Alcotest.test_case "completion after a takeover" `Quick
+            test_scenario_completion_after_takeover;
         ] );
       ( "c10k",
         [

@@ -498,8 +498,9 @@ let test_chaos_parallel_replay_clean () =
       Chaos.derive ~root_seed:77 ~index ~replicas:2 ~horizon:(Time.sec 3)
     in
     let o =
-      Chaosrun.run ~replay_workers:4 ~workload:Chaosrun.Fileserver ~replicas:2
-        s
+      Chaosrun.run
+        ~config:{ Chaosrun.config with replay_workers = 4 }
+        ~workload:Chaosrun.Fileserver ~replicas:2 s
     in
     if Chaos.verdict_failing o.Chaos.verdict then
       Alcotest.failf "schedule %d failed under parallel replay: %s" index
@@ -512,11 +513,17 @@ let test_chaos_parallel_replay_clean () =
   (* Control: a seeded divergence must still be flagged with executors on —
      parallelism must not blunt the checker. *)
   let mutated =
-    Chaosrun.run ~mutate:true ~replay_workers:4 ~workload:Chaosrun.Mongoose
-      ~replicas:2 quiescent
+    Chaosrun.run ~mutate:true
+      ~config:{ Chaosrun.config with replay_workers = 4 }
+      ~workload:Chaosrun.Mongoose ~replicas:2 quiescent
   in
   Alcotest.(check string) "mutated secondary still flagged" "divergence"
     (Chaos.verdict_label mutated.Chaos.verdict)
+
+(* Live re-protection with a 50 ms Degraded dwell before each
+   regeneration. *)
+let reprotect_50ms =
+  { Chaosrun.config with Cluster.reprotect = true; regen_delay = Time.ms 50 }
 
 let test_three_fault_reprotect_clean () =
   (* The acceptance schedule for live re-protection: three fail-stop kills,
@@ -543,7 +550,8 @@ let test_three_fault_reprotect_clean () =
     }
   in
   let o =
-    Chaosrun.run ~reprotect:true ~workload:Chaosrun.Mongoose ~replicas:2 sched
+    Chaosrun.run ~config:reprotect_50ms ~workload:Chaosrun.Mongoose
+      ~replicas:2 sched
   in
   Alcotest.(check string) "verdict ok" "ok"
     (Chaos.verdict_label o.Chaos.verdict);
@@ -560,7 +568,8 @@ let test_derive_multi_run_clean () =
       ~horizon:(Time.sec 4) ~faults:3
   in
   let o =
-    Chaosrun.run ~reprotect:true ~workload:Chaosrun.Fileserver ~replicas:2 s
+    Chaosrun.run ~config:reprotect_50ms ~workload:Chaosrun.Fileserver
+      ~replicas:2 s
   in
   Alcotest.(check bool) "no consistency failure" false
     (Chaos.verdict_failing o.Chaos.verdict)
