@@ -225,12 +225,6 @@ let print_outage cluster =
   with
   | Some a, Some b ->
       Printf.printf "failover outage: %s\n" (Time.to_string (b - a))
-  | _ when Cluster.failover_count cluster > 0 ->
-      (* The timestamps are reset once a completed epoch switch re-protects
-         the set; the per-takeover durations live in the trace spans and the
-         cluster.failover_ns histogram. *)
-      Printf.printf "failover outage: absorbed (re-protected, epoch %d)\n"
-        (Cluster.epoch cluster)
   | _ -> Printf.printf "no failover\n"
 
 let print_download w ~file_mb =
@@ -321,19 +315,25 @@ let timeline_cmd =
             missing := true;
             Printf.printf "  %-14s %12s %12s %12s\n" label "-" "-" "-")
       phases;
-    if !missing then Printf.printf "no failover: phase spans missing\n"
+    if !missing then begin
+      Printf.printf "no failover: phase spans missing\n";
+      if Cluster.failover_count cluster > 0 then exit 1
+    end
     else begin
       Printf.printf "  %-14s %38.3f\n" "sum of phases" (ms !sum);
-      match
-        (Cluster.primary_halted_at cluster, Cluster.failover_completed_at cluster)
-      with
-      | Some halt, Some live ->
+      (* [span_of] read the first pair of spans: the first takeover's. *)
+      match List.rev (Cluster.takeovers cluster) with
+      | { halted = Some halt; completed = Some live; _ } :: _ ->
           Printf.printf "  %-14s %38.3f   (halt %.3f -> live %.3f)\n"
             "measured" (ms (live - halt)) (ms halt) (ms live);
-          if abs (live - halt - !sum) > Time.ms 1 then
+          if abs (live - halt - !sum) > Time.ms 1 then begin
             Printf.printf
-              "WARNING: phases do not sum to the measured recovery time\n"
-      | _ -> Printf.printf "  measured recovery unavailable\n"
+              "WARNING: phases do not sum to the measured recovery time\n";
+            exit 1
+          end
+      | _ ->
+          Printf.printf "  measured recovery unavailable\n";
+          exit 1
     end
   in
   Cmd.v
@@ -411,9 +411,10 @@ let triple_cmd =
     Printf.printf "backups' received LSN: %d / %d\n"
       (Cluster.backup_received_lsn t 0)
       (Cluster.backup_received_lsn t 1);
-    (match Cluster.winner t with
-    | Some w -> Printf.printf "takeover winner: backup %d\n" w
-    | None -> Printf.printf "no failover occurred\n");
+    (match Cluster.takeovers t with
+    | { winner = Some w; _ } :: _ ->
+        Printf.printf "takeover winner: backup %d\n" w
+    | _ -> Printf.printf "no failover occurred\n");
     print_lifecycle t;
     print_cluster_health t;
     match Ivar.peek result with
@@ -448,7 +449,8 @@ let slo_cmd =
         ~run_for:(Time.ms run_for_ms) ()
     in
     Cli.dump r eng;
-    Slo.print_table res
+    Slo.print_table res;
+    if not res.Slo.span_bounds_ok then exit 1
   in
   Cmd.v
     (Cmd.info "slo"

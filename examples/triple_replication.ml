@@ -81,9 +81,10 @@ let () =
   Printf.printf "backup 0 halted: %b (t=50ms)\n"
     (Partition.is_halted (Cluster.backup_partition t 0));
   Printf.printf "primary halted:  %b (t=200ms)\n" (Partition.is_halted primary);
-  (match Cluster.winner t with
-  | Some w -> Printf.printf "takeover winner:  backup %d\n" w
-  | None -> Printf.printf "takeover winner:  none!\n");
+  (match Cluster.takeovers t with
+  | { winner = Some w; _ } :: _ ->
+      Printf.printf "takeover winner:  backup %d\n" w
+  | _ -> Printf.printf "takeover winner:  none!\n");
   match Ivar.peek result with
   | Some s when s = String.concat "" messages ->
       Printf.printf

@@ -70,36 +70,6 @@ let app_and_oracle ?(listen_shards = 1) ?admission workload =
       in
       (app, oracle)
 
-let inject_schedule machine ~part_of sched =
-  List.iter
-    (fun i ->
-      Machine.inject machine
-        (Fault.at ~disrupts_coherency:i.Chaos.inj_disrupts i.Chaos.inj_at
-           ~partition_id:(Partition.id (part_of i.Chaos.inj_target))
-           i.Chaos.inj_kind))
-    sched.Chaos.injections
-
-(* Re-protection moves roles across failovers and epoch switches, so the
-   live path resolves each injection's target partition at fire time
-   instead of pinning partitions when the schedule is armed.  A target
-   already halted (a backup hit again before its regeneration finished)
-   absorbs the fault as a no-op. *)
-let inject_schedule_live eng cluster sched =
-  List.iter
-    (fun (i : Chaos.injection) ->
-      Engine.schedule eng ~at:i.Chaos.inj_at (fun () ->
-          let part =
-            match i.Chaos.inj_target with
-            | Chaos.T_primary -> Cluster.primary_partition cluster
-            | Chaos.T_backup _ -> Cluster.secondary_partition cluster
-          in
-          if not (Partition.is_halted part) then
-            Machine.apply (Cluster.machine cluster)
-              (Fault.at
-                 ~disrupts_coherency:i.Chaos.inj_disrupts (Engine.now eng)
-                 ~partition_id:(Partition.id part) i.Chaos.inj_kind)))
-    sched.Chaos.injections
-
 let perturb_schedule eng link sched =
   List.iter
     (fun p ->
@@ -237,14 +207,11 @@ let run ?on_trace ?stats_interval ?(mutate = false) ?(config = config)
       Namespace.mutate_skip_digest
         (Cluster.secondary_namespace cluster)
         ~global_seq:0;
-    (if config.reprotect then inject_schedule_live eng cluster sched
-     else
-       let part_of = function
-         | Chaos.T_primary -> Cluster.primary_partition cluster
-         | Chaos.T_backup i ->
-             Cluster.backup_partition cluster (i mod (replicas - 1))
-       in
-       inject_schedule (Cluster.machine cluster) ~part_of sched);
+    List.iter
+      (fun (i : Chaos.injection) ->
+        Cluster.inject cluster ~target:i.inj_target ~at:i.inj_at
+          ~disrupts:i.inj_disrupts i.inj_kind)
+      sched.Chaos.injections;
     perturb_schedule eng (Option.get env.link) sched
   in
   let oracle = ref None in

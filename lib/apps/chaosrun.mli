@@ -47,14 +47,14 @@ val run :
     [replicas]: three replicas run on a 4-NUMA-node machine.  Shapes
     {!Cluster.create} rejects raise [Invalid_argument].
 
-    With [config.reprotect] (two replicas only), {!Cluster} live
-    re-protection is on: injections then resolve their target partition
-    {e at fire time} through the lifecycle API — roles move across
-    failovers and epoch switches, and a fault landing on an already-halted
-    target is a no-op.  Every run's failover count and outage test come
-    from {!Cluster.failover_count} and {!Cluster.all_halted}.  Pair with
-    {!Chaos.derive_multi} schedules to exercise kill → regenerate cycles
-    of arbitrary length.
+    Injections go through {!Cluster.inject}, which resolves each target
+    partition {e when the fault fires}: roles move at every takeover and
+    epoch switch, and a fault landing on an already-halted target is a
+    no-op.  Every run's failover count and outage test come from
+    {!Cluster.failover_count} and {!Cluster.all_halted}.  With
+    [config.reprotect] (two replicas only), {!Cluster} live re-protection
+    is on; pair it with {!Chaos.derive_multi} schedules to exercise
+    kill → regenerate cycles of arbitrary length.
 
     [listen_shards] (default 1) runs the workload server on a
     {!Ftsim_netstack.Tcp.listen_group} of that many accept-queue shards;

@@ -152,8 +152,7 @@ let run eng sc =
         List.iter (fun (role, at) -> Cluster.kill c ~role ~at) sc.kills;
         (Some c, Cluster.primary_kernel c)
     | Plain cores ->
-        let sa = Cluster.create_standalone eng ?cores ?link:ep ~app:sc.app () in
-        (None, Cluster.standalone_kernel sa)
+        (None, Cluster.create_standalone eng ?cores ?link:ep ~app:sc.app ())
   in
   let ops = ref 0 and completions = ref [] in
   let env = { cluster; kernel; link; ops = (fun () -> !ops) } in
@@ -217,34 +216,28 @@ let run eng sc =
         failover_window eng
     | _ -> None
   in
+  (* The window comes from the first pair of spans, so it belongs to the
+     first takeover. *)
   let bounds_ok =
-    match cluster with
-    | None -> window = None
-    | Some c -> (
-        match
-          (window, Cluster.primary_halted_at c, Cluster.failover_completed_at c)
-        with
-        | Some (lo, hi), Some halted, Some completed ->
-            lo = halted && hi = completed
-        | None, None, None -> true
-        | _ -> false)
+    let first c = List.nth_opt (List.rev (Cluster.takeovers c)) 0 in
+    match (window, Option.bind cluster first) with
+    | Some (lo, hi), Some { halted = Some h; completed = Some c; _ } ->
+        lo = h && hi = c
+    | None, None -> true
+    | _ -> false
   in
   let pre, fo, post = split ~window completions in
   { env; client; marks; completions; window; bounds_ok; pre; fo; post }
 
 let run_to_completion eng ?kills server ~cap body =
   let cluster = ref None and t_done = ref None in
-  (* The serving copy is the primary's while its partition is up, and a
-     survivor's once it is down: a takeover does not always move the
-     primary role (two replicas without re-protection keep it on the dead
-     partition).  Bodies only run once the engine does, after [setup] has
-     recorded the cluster. *)
+  (* The serving copy is the primary's, which after a takeover is the
+     promoted backup's.  Bodies only run once the engine does, after
+     [setup] has recorded the cluster. *)
   let serving (api : Api.t) =
     match !cluster with
     | None -> true
-    | Some c ->
-        api.Api.kernel == Cluster.primary_kernel c
-        || Partition.is_halted (Cluster.primary_partition c)
+    | Some c -> api.Api.kernel == Cluster.primary_kernel c
   in
   let app api =
     body ~serving:(serving api) api;

@@ -128,8 +128,9 @@ type report = {
       (** failover window: begin of the pinned [failover.detect] span to
           end of the pinned [failover.golive] span; [None] without one *)
   bounds_ok : bool;
-      (** the span bounds equal {!Cluster.primary_halted_at} /
-          {!Cluster.failover_completed_at} (both absent counts as equal) *)
+      (** the window's bounds equal the [halted] / [completed] times of the
+          first of {!Cluster.takeovers}, whose spans the window was read
+          from (no window and no takeover counts as equal) *)
   pre : Metrics.Hist.t;
       (** latency (ms) of completions before the window — all of them
           without a window *)

@@ -14,8 +14,8 @@ type report = {
   window : (Time.t * Time.t) option;
       (** failover window from the pinned spans; [None] if no failover *)
   span_bounds_ok : bool;
-      (** span-derived bounds equal {!Cluster.primary_halted_at} /
-          {!Cluster.failover_completed_at} *)
+      (** span-derived bounds equal the first takeover's [halted] /
+          [completed] times ({!Scenario.report}'s [bounds_ok]) *)
   pre : Metrics.Hist.t;  (** latency (ms) of completions before the window *)
   fo : Metrics.Hist.t;  (** completions inside the window (may be empty:
           the server is down for most of it) *)

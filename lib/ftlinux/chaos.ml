@@ -1,6 +1,6 @@
 open Ftsim_sim
 
-type target = T_primary | T_backup of int
+type target = Replica_set.target = T_primary | T_backup of int
 
 type injection = {
   inj_at : Time.t;

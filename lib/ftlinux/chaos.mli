@@ -15,9 +15,11 @@ open Ftsim_sim
 
 (** {1 Schedules} *)
 
-type target =
+type target = Replica_set.target =
   | T_primary
-  | T_backup of int  (** backup index; always [0] with two replicas *)
+  | T_backup of int
+      (** backup slot; resolved when the fault fires (see
+          {!Cluster.inject}) *)
 
 type injection = {
   inj_at : Time.t;
@@ -60,8 +62,9 @@ val derive_multi :
     the first three quarters of the horizon, so the previous
     kill → failover → regenerate cycle has room to complete — or is hit
     mid-regeneration when a draw lands early in its window.  Targets are
-    primary-heavy (roles move between injections when re-protection is
-    on).  Derivation is deterministic in [(root_seed, index, faults)]. *)
+    primary-heavy (roles move at every takeover, and each target is
+    resolved when its fault fires).  Derivation is deterministic in
+    [(root_seed, index, faults)]. *)
 
 val pp_schedule : Format.formatter -> schedule -> unit
 

@@ -137,10 +137,21 @@ type transition = {
   tr_epoch : int;  (* epoch in force once the transition lands *)
 }
 
+(* One takeover, filled in as it progresses.  An epoch holds at most one:
+   after it the set is Degraded, and the next takeover needs the epoch
+   switch that re-protects it. *)
+type takeover = {
+  halted : Time.t option;  (* the primary's unexpected halt *)
+  started : Time.t option;  (* a backup declared the primary failed *)
+  completed : Time.t option;  (* the winner went live *)
+  winner : int option;  (* the backup slot that took over *)
+  epoch : int;
+}
+
 (* One backup replica.  A failover swaps the survivor's partition, kernel,
-   namespace and joining epoch with the primary's (when roles move), so the
-   slot then holds the dead primary; the message-layer pair stays in the
-   slot (frozen metrics) until an epoch switch replaces it. *)
+   namespace and joining epoch with the primary's, so the slot then holds
+   the dead primary; the message-layer pair stays in the slot (frozen
+   metrics) until an epoch switch replaces it. *)
 type backup = {
   idx : int;
   mutable part : Partition.t;
@@ -176,7 +187,6 @@ type t = {
   sink : live_sink option;  (* Some iff [cfg.reprotect] *)
   group : Msglayer.group option;  (* Some iff two backups *)
   arb : arb_msg Mailbox.duplex option;  (* backup 0 <-> backup 1 *)
-  failover_done : unit Ivar.t;
   mutable part_p : Partition.t;
   mutable kernel_p : Kernel.t;
   mutable ns_p : Namespace.t;
@@ -184,8 +194,7 @@ type t = {
   backups : backup array;
   mutable lifecycle : lifecycle;
   mutable epoch : int;
-  mutable failovers : int;
-  mutable winner : int option;
+  mutable takeovers : takeover list;  (* newest first *)
   mutable transitions : transition list;  (* newest first *)
   mutable subs : (transition -> unit) list;
   mutable regen_gen : int;
@@ -193,7 +202,6 @@ type t = {
   mutable switch_cutoff : int option;
       (* journal length at the last epoch switch = the spliced backup's
          base LSN *)
-  mutable degraded_at : Time.t option;
   mutable digest_pairs : (Digest.t * Digest.t * Digest.cap option) list;
       (* closed (primary, secondary, secondary-side cap) digest pairs of
          past epochs, oldest last *)
@@ -202,9 +210,6 @@ type t = {
   mutable acc_msgs : int;
   mutable acc_bytes : int;
   mutable acc_records : int;
-  mutable failover_started : Time.t option;
-  mutable failover_completed : Time.t option;
-  mutable primary_halted : Time.t option;
   (* The open pinned failover phase span: "failover.detect" from the
      primary's halt, then drain_replay, driver_reload and golive. *)
   mutable phase : Evlog.span option;
@@ -221,16 +226,18 @@ let secondary_kernel t = t.backups.(0).kernel
 let primary_namespace t = t.ns_p
 let secondary_namespace t = t.backups.(0).ns
 let backup_received_lsn t i = Msglayer.received_lsn t.backups.(i).ml_s
-let failover_done t = t.failover_done
 let lagmon t = t.backups.(0).mon
 let lagmons t = List.rev t.lagmons
-let failover_started_at t = t.failover_started
-let failover_completed_at t = t.failover_completed
-let primary_halted_at t = t.primary_halted
+let takeovers t = t.takeovers
+let latest t = List.nth_opt t.takeovers 0
+let failover_started_at t = Option.bind (latest t) (fun k -> k.started)
+let failover_completed_at t = Option.bind (latest t) (fun k -> k.completed)
 let state t = t.lifecycle
 let epoch t = t.epoch
-let failover_count t = t.failovers
-let winner t = t.winner
+
+let failover_count t =
+  List.length (List.filter (fun k -> k.started <> None) t.takeovers)
+
 let transitions t = List.rev t.transitions
 let on_transition t f = t.subs <- t.subs @ [ f ]
 let switch_cutoff t = t.switch_cutoff
@@ -266,11 +273,6 @@ let traffic_msgs t =
 
 let traffic_bytes t =
   t.acc_bytes + sum_backups t (fun b -> Msglayer.traffic_bytes b.ml_p b.ml_s)
-
-let reset_traffic t =
-  t.acc_msgs <- 0;
-  t.acc_bytes <- 0;
-  Array.iter (fun b -> Msglayer.reset_traffic b.ml_p b.ml_s) t.backups
 
 let det_ops t = Namespace.det_ops t.ns_p
 
@@ -358,6 +360,32 @@ let end_phase t =
   Option.iter (Evlog.span_end (Engine.evlog t.eng)) t.phase;
   t.phase <- None
 
+(* The current epoch's takeover record, opened by its first note. *)
+let note_takeover t f =
+  match t.takeovers with
+  | k :: rest when k.epoch = t.epoch -> t.takeovers <- f k :: rest
+  | ks ->
+      let k =
+        {
+          halted = None;
+          started = None;
+          completed = None;
+          winner = None;
+          epoch = t.epoch;
+        }
+      in
+      t.takeovers <- f k :: ks
+
+let takeover_started t =
+  match t.takeovers with
+  | { epoch; started = Some _; _ } :: _ -> epoch = t.epoch
+  | _ -> false
+
+let takeover_completed t =
+  match t.takeovers with
+  | { epoch; completed = Some _; _ } :: _ -> epoch = t.epoch
+  | _ -> false
+
 (* Per-backup replication-health monitor of the first epoch (see the
    determinism contract in {!Lagmon}: sources are pure reads). *)
 let start_lagmon t b ~name lm_config =
@@ -382,7 +410,7 @@ let start_lagmon t b ~name lm_config =
            the heartbeat declares it, which is a death, not lag. *)
         alive =
           (fun () ->
-            t.failover_started = None
+            (not (takeover_started t))
             && (not (Msglayer.is_disabled ml_p))
             && (not (Partition.is_halted part_p))
             && not (Partition.is_halted part_b));
@@ -394,13 +422,14 @@ let start_lagmon t b ~name lm_config =
 (* An unexpected halt of the *current* primary opens the
    "failover.detect" phase; while there is no attached backup it is
    instead a service outage.  [run_failover]'s own IPI-halt arrives with
-   [failover_started] already set (and the lifecycle still [Protected])
-   and is neither. *)
+   the takeover already started (and the lifecycle still [Protected]) and
+   is neither. *)
 let rec watch_primary t part =
   Partition.on_halt part (fun () ->
       if part == t.part_p then begin
-        if t.failover_started = None && t.lifecycle = Protected then begin
-          t.primary_halted <- Some (Engine.now t.eng);
+        if (not (takeover_started t)) && t.lifecycle = Protected then begin
+          note_takeover t (fun k ->
+              { k with halted = Some (Engine.now t.eng) });
           next_phase t "failover.detect"
         end
         else if t.lifecycle = Degraded || t.lifecycle = Regenerating then begin
@@ -434,8 +463,7 @@ and start_heartbeats t b ~epoch =
      started the failover: it must join the takeover arbitration. *)
   let live () = t.epoch = epoch && t.lifecycle = Protected in
   let joins () =
-    t.epoch = epoch && t.failover_started <> None
-    && t.failover_completed = None
+    t.epoch = epoch && takeover_started t && not (takeover_completed t)
   in
   b.hb_p <-
     Some
@@ -463,9 +491,8 @@ and start_heartbeats t b ~epoch =
    Wall-clock is dominated by the NIC driver reload (99 % of the ~5 s
    reported in §4.4). *)
 and run_failover t b =
-  if t.failover_started = None then begin
-    t.failover_started <- Some (Engine.now t.eng);
-    t.failovers <- t.failovers + 1;
+  if not (takeover_started t) then begin
+    note_takeover t (fun k -> { k with started = Some (Engine.now t.eng) });
     Metrics.Counter.incr
       (Metrics.Registry.counter (Engine.metrics t.eng) "cluster.failovers");
     Trace.warnf log ~eng:t.eng "failover: primary declared failed";
@@ -477,7 +504,6 @@ and run_failover t b =
        still Protected so it does not read our own halt as an outage. *)
     Ipi.send_halt t.eng t.part_p;
     set_lifecycle t Degraded;
-    t.degraded_at <- Some (Engine.now t.eng);
     Array.iter
       (fun o ->
         stop_hb o.hb_p;
@@ -531,7 +557,7 @@ and run_failover t b =
 and arbitrate t b =
   match t.arb with
   | None ->
-      t.winner <- Some b.idx;
+      note_takeover t (fun k -> { k with winner = Some b.idx });
       true
   | Some arb ->
       let peer = t.backups.(1 - b.idx) in
@@ -560,7 +586,7 @@ and arbitrate t b =
         b.idx my_lsn
         (match peer_lsn with Some p -> string_of_int p | None -> "dead")
         (if wins then "takes over" else "stands by");
-      if wins then t.winner <- Some b.idx;
+      if wins then note_takeover t (fun k -> { k with winner = Some b.idx });
       Option.iter
         (fun announced ->
           watch_peer t b ~out ~inb
@@ -595,12 +621,12 @@ and watch_peer t b ~out ~inb ~on_failure =
    released output if it is at least as long as the one the winner
    announced; otherwise nobody can serve. *)
 and standby_fails t b ~announced =
-  if t.failover_completed = None then
+  if not (takeover_completed t) then
     if Msglayer.received_lsn b.ml_s >= announced then begin
       Trace.warnf log ~eng:t.eng
         "backup %d: takeover winner died before going live; standby takes over"
         b.idx;
-      t.winner <- Some b.idx;
+      note_takeover t (fun k -> { k with winner = Some b.idx });
       take_over t b
     end
     else begin
@@ -612,24 +638,21 @@ and standby_fails t b ~announced =
     end
 
 (* Take over the network and go live on backup [b], whose log is drained
-   and replayed.  With re-protection the survivor is additionally
-   *promoted*: it keeps recording into the live sink (journal) so a
+   and replayed; from then on it is the primary.  With re-protection the
+   survivor additionally keeps recording into the live sink (journal) so a
    regenerated backup can be spliced in later. *)
 and take_over t b =
   let reg = Engine.metrics t.eng in
-  (* With re-protection: bound later comparisons against the dead
-     primary's digest at the survivor's replay point — everything beyond it
-     died unreplicated with the primary — and close the epoch's digest
-     pair.  The survivor's digest keeps growing as the next epoch's
-     recording primary. *)
-  if t.cfg.reprotect then begin
-    let cap = Option.map Digest.capture (Namespace.digest b.ns) in
-    match b.pair with
-    | Some (dp, ds) ->
-        t.digest_pairs <- (dp, ds, cap) :: t.digest_pairs;
-        b.pair <- None
-    | None -> ()
-  end;
+  (* Bound later comparisons against the dead primary's digest at the
+     survivor's replay point — everything beyond it died unreplicated with
+     the primary — and close the epoch's digest pair.  The survivor's
+     digest keeps growing as the primary's. *)
+  (let cap = Option.map Digest.capture (Namespace.digest b.ns) in
+   match b.pair with
+   | Some (dp, ds) ->
+       t.digest_pairs <- (dp, ds, cap) :: t.digest_pairs;
+       b.pair <- None
+   | None -> ());
   let promote_of restored =
     if t.cfg.reprotect then begin
       let sink = Option.get t.sink in
@@ -692,33 +715,29 @@ and take_over t b =
       next_phase t "failover.golive";
       Namespace.go_live b.ns ?promote:(promote_of []) ());
   end_phase t;
-  (* Role swap when roles move (re-protection, or two backups): the
-     survivor is the primary from here on and the dead unit takes its
-     backup slot — with re-protection until regeneration replaces it.
-     Without either, roles keep the original assignment. *)
-  if t.cfg.reprotect || Array.length t.backups > 1 then begin
-    let op = t.part_p and ok = t.kernel_p and on = t.ns_p in
-    let oe = t.epoch_joined_p in
-    t.part_p <- b.part;
-    t.kernel_p <- b.kernel;
-    t.ns_p <- b.ns;
-    t.epoch_joined_p <- b.joined;
-    b.part <- op;
-    b.kernel <- ok;
-    b.ns <- on;
-    b.joined <- oe;
-    watch_primary t t.part_p
-  end;
+  (* Role swap: the survivor is the primary from here on and the dead unit
+     takes its backup slot — with re-protection until regeneration
+     replaces it. *)
+  let op = t.part_p and ok = t.kernel_p and on = t.ns_p in
+  let oe = t.epoch_joined_p in
+  t.part_p <- b.part;
+  t.kernel_p <- b.kernel;
+  t.ns_p <- b.ns;
+  t.epoch_joined_p <- b.joined;
+  b.part <- op;
+  b.kernel <- ok;
+  b.ns <- on;
+  b.joined <- oe;
+  watch_primary t t.part_p;
   if t.cfg.reprotect then schedule_reprotect t;
-  t.failover_completed <- Some (Engine.now t.eng);
-  (match t.failover_started with
-  | Some s ->
+  note_takeover t (fun k -> { k with completed = Some (Engine.now t.eng) });
+  Option.iter
+    (fun s ->
       Metrics.Hist.record
         (Metrics.Registry.hist reg "cluster.failover_ns")
-        (float_of_int (Engine.now t.eng - s))
-  | None -> ());
+        (float_of_int (Engine.now t.eng - s)))
+    (failover_started_at t);
   Trace.warnf log ~eng:t.eng "failover: secondary is live";
-  if t.failovers = 1 then Ivar.fill t.failover_done ();
   (* A standby's log lacks the outputs the new primary releases
      unreplicated from here on, so it stands down and leaves the set. *)
   stop_heartbeats t;
@@ -765,7 +784,6 @@ and on_backup_death t b =
     sink.ls_ml <- None;
     Msglayer.disable b.ml_p;
     set_lifecycle t Degraded;
-    t.degraded_at <- Some (Engine.now t.eng);
     schedule_reprotect t
   end
 and schedule_reprotect t =
@@ -968,22 +986,22 @@ and do_reprotect t =
       b.journal <- jb;
       sink.ls_ml <- Some ml_p';
       t.epoch <- new_epoch;
-      t.failover_started <- None;
-      t.failover_completed <- None;
-      t.primary_halted <- None;
       t.phase <- None;
       set_lifecycle t Protected;
       Evlog.span_end ev span;
       Metrics.Hist.record
         (Metrics.Registry.hist reg "cluster.reprotect_ns")
         (float_of_int (Engine.now t.eng - regen_start));
-      (match t.degraded_at with
-      | Some d ->
+      (* Time to protected runs from the replica death that degraded the
+         set, not from a retry after an aborted regeneration. *)
+      Option.iter
+        (fun tr ->
           Metrics.Hist.record
             (Metrics.Registry.hist reg "cluster.time_to_protected_ns")
-            (float_of_int (Engine.now t.eng - d));
-          t.degraded_at <- None
-      | None -> ());
+            (float_of_int (Engine.now t.eng - tr.tr_at)))
+        (List.find_opt
+           (fun tr -> tr.tr_from = Protected && tr.tr_to = Degraded)
+           t.transitions);
       Msglayer.spawn_primary_rx ml_p' (fun name f ->
           Kernel.spawn_thread t.kernel_p ~name f);
       Msglayer.spawn_secondary_rx ml_s' (fun name f ->
@@ -1199,7 +1217,6 @@ let create eng ?(config = default_config) ?link ~app () =
       sink = sink_opt;
       group;
       arb;
-      failover_done = Ivar.create ();
       part_p;
       kernel_p;
       ns_p;
@@ -1207,22 +1224,17 @@ let create eng ?(config = default_config) ?link ~app () =
       backups;
       lifecycle = Protected;
       epoch = 0;
-      failovers = 0;
-      winner = None;
+      takeovers = [];
       transitions = [];
       subs = [];
       regen_gen = 0;
       switch_cutoff = None;
-      degraded_at = None;
       digest_pairs = [];
       all_ns = Array.fold_left (fun acc ns -> ns :: acc) [ ns_p ] ns_bs;
       lagmons = [];
       acc_msgs = 0;
       acc_bytes = 0;
       acc_records = 0;
-      failover_started = None;
-      failover_completed = None;
-      primary_halted = None;
       phase = None;
     }
   in
@@ -1247,32 +1259,36 @@ let create eng ?(config = default_config) ?link ~app () =
   Array.iter (fun ns -> ignore (Namespace.start_app ns app)) ns_bs;
   t
 
+(* Every fault resolves its target here, when it fires: roles move at
+   every takeover and epoch switch.  A target already halted absorbs the
+   fault ({!Machine.apply}). *)
+let strike t target ~disrupts kind =
+  let part =
+    match target with
+    | Replica_set.T_primary -> t.part_p
+    | T_backup i -> t.backups.(i mod Array.length t.backups).part
+  in
+  Machine.apply t.machine
+    (Fault.at ~disrupts_coherency:disrupts (Engine.now t.eng)
+       ~partition_id:(Partition.id part) kind)
+
+let inject t ~target ~at ~disrupts kind =
+  Engine.schedule t.eng ~at (fun () -> strike t target ~disrupts kind)
+
 let kill t ~role ~at =
   ignore
     (Engine.timer t.eng ~at (fun () ->
-         let part =
+         let target =
            match role with
-           | Replica_set.Primary -> t.part_p
-           | Replica_set.Backup -> (
-               match
-                 Array.find_opt
-                   (fun b -> not (b.left || Partition.is_halted b.part))
-                   t.backups
-               with
-               | Some b -> b.part
-               | None -> t.backups.(0).part)
+           | Replica_set.Primary -> Replica_set.T_primary
+           | Backup ->
+               let up b = not (b.left || Partition.is_halted b.part) in
+               T_backup
+                 (Option.value ~default:0 (Array.find_index up t.backups))
          in
-         Machine.apply t.machine
-           (Fault.at (Engine.now t.eng)
-              ~partition_id:(Partition.id part)
-              Fault.Core_failstop)))
+         strike t target ~disrupts:false Fault.Core_failstop))
 
 (* {1 Baseline} *)
-
-type standalone = {
-  sa_kernel : Kernel.t;
-  sa_ns : Namespace.t;
-}
 
 let create_standalone eng ?(topology = Topology.opteron_testbed) ?cores
     ?(server_ip = "10.0.0.1") ?link ~app () =
@@ -1301,7 +1317,4 @@ let create_standalone eng ?(topology = Topology.opteron_testbed) ?cores
   in
   let ns = Namespace.standalone kernel ?stack () in
   ignore (Namespace.start_app ns app);
-  { sa_kernel = kernel; sa_ns = ns }
-
-let standalone_kernel s = s.sa_kernel
-let standalone_namespace s = s.sa_ns
+  kernel

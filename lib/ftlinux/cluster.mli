@@ -8,10 +8,10 @@
     of replicas):
 
     - [2]: a primary and one backup.  When the primary partition fails
-      (inject via {!Ftsim_hw.Machine.inject} or {!kill}), the backup runs
-      the full failover sequence: IPI-halt, log drain, replay completion,
-      NIC driver reload, TCP stack reconstruction, switch to live
-      execution.
+      (inject via {!inject} or {!kill}), the backup runs the full failover
+      sequence: IPI-halt, log drain, replay completion, NIC driver reload,
+      TCP stack reconstruction, switch to live execution.  From then on it
+      holds the primary role (see {!takeover}).
     - [3]: a half-size primary and two quarter-size backups.  The log fans
       out to both through a {!Msglayer.group}; output commit waits for a
       quorum of one backup acknowledgement (a majority of the three
@@ -45,8 +45,9 @@
     journal cutoff, and {!compare_digests} plus §3.5 output commit hold
     exactly as for an original backup.
 
-    [standalone] builds the baseline: the same application on an unmodified
-    kernel given the same resources as a single FT-Linux partition. *)
+    [create_standalone] builds the baseline: the same application on an
+    unmodified kernel given the same resources as a single FT-Linux
+    partition. *)
 
 open Ftsim_sim
 open Ftsim_hw
@@ -144,8 +145,33 @@ val epoch : t -> int
 (** 0 until the first completed re-protection; incremented at each epoch
     switch. *)
 
+(** One primary takeover (§3.7): the backup that wins drains the log,
+    reloads the NIC driver and goes live, and from then on {e is} the
+    primary — in every mode, so {!primary_partition} and friends name it.
+    An epoch holds at most one takeover. *)
+type takeover = private {
+  halted : Time.t option;
+      (** when the primary partition halted unexpectedly (not by the
+          failover sequence's own IPI); the ["failover.detect"] trace span
+          and the measured recovery time both start here.  [None] for a
+          detection without a halt (a false positive) *)
+  started : Time.t option;
+      (** when a backup declared the primary failed; [None] while only the
+          halt has been seen *)
+  completed : Time.t option;  (** when the winner went live *)
+  winner : int option;  (** the backup slot that took over *)
+  epoch : int;  (** the epoch the takeover happened in *)
+}
+
+val takeovers : t -> takeover list
+(** Every takeover, newest first. *)
+
 val failover_count : t -> int
-(** Completed (or in-flight) primary takeovers. *)
+(** Completed (or in-flight) primary takeovers: those [started]. *)
+
+val failover_started_at : t -> Time.t option
+val failover_completed_at : t -> Time.t option
+(** [started] / [completed] of the newest takeover. *)
 
 type transition = {
   tr_at : Time.t;
@@ -168,10 +194,21 @@ val reprotect : t -> unit
     is scheduled [regen_delay] after every replica death anyway; this
     forces it early. *)
 
+val inject :
+  t ->
+  target:Replica_set.target ->
+  at:Time.t ->
+  disrupts:bool ->
+  Fault.kind ->
+  unit
+(** Schedule a fault of this kind on the partition [target] names {e when
+    it fires} (roles move at every takeover and epoch switch); [disrupts]
+    also disrupts mailbox coherency.  A target already halted absorbs the
+    fault. *)
+
 val kill : t -> role:Replica_set.role -> at:Time.t -> unit
-(** Schedule a fail-stop core fault on the partition holding [role] {e at
-    fire time} (roles move across failovers and epoch switches).  With two
-    backups, [Backup] names the first one still up. *)
+(** {!inject}'s fail-stop, non-disrupting case, aimed at a role: [Backup]
+    names the first backup still up when the fault fires. *)
 
 val members : t -> Replica_set.member list
 (** The primary, then each backup slot (dead ones included until replaced;
@@ -180,9 +217,6 @@ val members : t -> Replica_set.member list
 val all_halted : t -> bool
 (** Every member's partition is halted — the outage test chaos judges
     use. *)
-
-val winner : t -> int option
-(** The backup index that took over at the last failover. *)
 
 val switch_cutoff : t -> int option
 (** Journal length at the last epoch switch — the spliced backup's base
@@ -195,10 +229,9 @@ val backup_first_lsn : t -> int option
 
 (** {1 Topology accessors}
 
-    With re-protection or two backups, [primary_*] always name the
-    partition currently holding the primary role (roles swap at failover);
-    otherwise they are the fixed original assignment.  [secondary_*] name
-    backup 0. *)
+    [primary_*] name the partition currently holding the primary role
+    (roles swap at every takeover); [secondary_*] name backup slot 0,
+    which after a takeover by backup 0 holds the dead primary. *)
 
 val machine : t -> Machine.t
 val primary_partition : t -> Partition.t
@@ -214,9 +247,6 @@ val secondary_namespace : t -> Namespace.t
 val backup_received_lsn : t -> int -> int
 (** Contiguous received-LSN watermark of the given backup's log. *)
 
-val failover_done : t -> unit Ivar.t
-(** Filled when a backup has completed the {e first} takeover. *)
-
 val lagmon : t -> Lagmon.t option
 (** Backup 0's current-epoch replication-health monitor, when
     [config.lagmon] enabled one. *)
@@ -225,14 +255,6 @@ val lagmons : t -> (string * Lagmon.t) list
 (** Every monitor in creation order: ["lag"], ["lag.e1"], … per epoch with
     one backup (monitors of replaced epochs report {!Lagmon.verdict}
     [Retired]); ["lag.b0"], ["lag.b1"] with two. *)
-
-val failover_started_at : t -> Time.t option
-val failover_completed_at : t -> Time.t option
-
-val primary_halted_at : t -> Time.t option
-(** When the primary partition halted unexpectedly (i.e. not by the
-    failover sequence's own IPI); the "failover.detect" trace span and the
-    measured recovery time both start here.  Reset at each epoch switch. *)
 
 val shutdown : t -> unit
 (** Stop heart-beat timers and health monitors so an idle simulation can
@@ -245,7 +267,6 @@ val shutdown : t -> unit
 
 val traffic_msgs : t -> int
 val traffic_bytes : t -> int
-val reset_traffic : t -> unit
 val det_ops : t -> int
 val records_sent : t -> int
 
@@ -266,8 +287,6 @@ val replay_divergence : t -> string option
 
 (** {1 Baseline} *)
 
-type standalone
-
 val create_standalone :
   Engine.t ->
   ?topology:Topology.spec ->
@@ -276,9 +295,7 @@ val create_standalone :
   ?link:Link.endpoint ->
   app:Api.app ->
   unit ->
-  standalone
+  Kernel.t
 (** One partition with [cores] cores (default: half the machine, matching
-    one FT-Linux partition) running the application directly. *)
-
-val standalone_kernel : standalone -> Kernel.t
-val standalone_namespace : standalone -> Namespace.t
+    one FT-Linux partition) running the application directly; returns its
+    kernel. *)

@@ -226,7 +226,6 @@ let register_thread t ~ft_pid =
   Hashtbl.replace t.by_ftpid ft_pid ctx
 
 let unregister_thread t = Hashtbl.remove t.by_proc (Engine.pid (Engine.self ()))
-let current_ftpid t = (ctx_exn t).ft_pid
 
 (* {1 Deterministic sections} *)
 

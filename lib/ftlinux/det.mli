@@ -58,9 +58,6 @@ val register_thread : t -> ft_pid:int -> unit
 
 val unregister_thread : t -> unit
 
-val current_ftpid : t -> int
-(** ft_pid of the calling thread; raises if unregistered. *)
-
 (** {1 Deterministic sections} *)
 
 val det_start : t -> chans:int list -> unit

@@ -59,10 +59,6 @@ val fold_thread : t -> ft_pid:int -> int -> unit
 (** Mix a value into [ft_pid]'s per-thread digest (per-thread FIFO points:
     net/time syscall results). *)
 
-val thread_digest : t -> ft_pid:int -> int
-
-val hash_payload : Wire.det_payload -> int
-
 val section_end :
   t ->
   ft_pid:int ->
@@ -79,9 +75,6 @@ val section_end :
 val mark_commit : t -> lsn:int -> unit
 (** Record an output-commit boundary at the current epoch (total sections
     digested). *)
-
-val commit_marks : t -> (int * int) list
-(** [(epoch, lsn)] marks, oldest first. *)
 
 val seal : t -> unit
 (** Stop the comparable region (secondary go-live): snapshots taken after
@@ -160,9 +153,6 @@ val compare_replicas_capped :
 
 val thread_folds : t -> ft_pid:int -> int
 (** Syscall results folded into [ft_pid]'s digest so far. *)
-
-val chan_folds : t -> chan:int -> int
-(** Sections folded into [chan]'s digest so far. *)
 
 val comparison_points : t -> int
 (** All per-channel section folds plus all per-thread folds: the total

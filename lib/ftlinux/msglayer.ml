@@ -816,15 +816,10 @@ let drained s =
 (* {1 Metrics} *)
 
 let p_records p = Metrics.Counter.value p.p_recs
-let p_frames p = Metrics.Counter.value p.r_frames
 
 let traffic_msgs p s = Mailbox.msgs_sent p.p_out + Mailbox.msgs_sent s.s_out
 
 let traffic_bytes p s = Mailbox.bytes_sent p.p_out + Mailbox.bytes_sent s.s_out
-
-let reset_traffic p s =
-  Mailbox.reset_metrics p.p_out;
-  Mailbox.reset_metrics s.s_out
 
 (* {1 Sinks} *)
 
@@ -853,8 +848,6 @@ let create_group members ~quorum =
     (fun p -> if p.next_lsn <> 0 then invalid_arg "Msglayer.create_group: dirty log")
     members;
   { members = Array.of_list members; quorum }
-
-let group_members g = Array.to_list g.members
 
 let group_append g record =
   (* Identical LSN on every live member: appends stay paired because every

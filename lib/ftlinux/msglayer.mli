@@ -145,8 +145,6 @@ val group_disable : group -> int -> unit
 (** Declare backup [i] dead: it no longer counts toward (or blocks) the
     quorum.  If every backup is disabled the group is fully disabled. *)
 
-val group_members : group -> primary list
-
 (** {1 Secondary side} *)
 
 val create_secondary :
@@ -222,9 +220,5 @@ val drained : secondary -> bool
 
 val p_records : primary -> int
 
-val p_frames : primary -> int
-(** Record-bearing frames actually sent ([<= p_records] with batching). *)
-
 val traffic_msgs : primary -> secondary -> int
 val traffic_bytes : primary -> secondary -> int
-val reset_traffic : primary -> secondary -> unit

@@ -953,4 +953,3 @@ let go_solo t =
 let det_ops t = match t.det with Some d -> Det.det_ops d | None -> 0
 
 let vfs_of t = t.vfs
-let pthread_ops t = Pthread.ops_count t.pt

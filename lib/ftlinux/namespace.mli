@@ -97,7 +97,6 @@ val go_solo : t -> unit
     disables the message layer, releasing stability waiters). *)
 
 val det_ops : t -> int
-val pthread_ops : t -> int
 
 (** {1 Divergence checking} *)
 

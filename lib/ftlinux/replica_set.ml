@@ -9,8 +9,7 @@ let lifecycle_label = function
   | Outage -> "outage"
 
 type role = Primary | Backup
-
-let role_label = function Primary -> "primary" | Backup -> "backup"
+type target = T_primary | T_backup of int
 
 type member = {
   m_role : role;

@@ -19,7 +19,13 @@ val lifecycle_label : lifecycle -> string
 
 type role = Primary | Backup
 
-val role_label : role -> string
+(** Where a fault lands, resolved to a partition only when it fires:
+    roles move at every takeover and epoch switch. *)
+type target =
+  | T_primary  (** the partition holding the primary role *)
+  | T_backup of int
+      (** backup slot [i mod] the number of backups; after a takeover the
+          winner's slot holds the dead primary *)
 
 type member = {
   m_role : role;

@@ -65,16 +65,6 @@ val listener_config : t -> port:int -> listener_config option
 
 val cid : conn -> int
 val find : t -> cid:int -> conn option
-val pending_output : conn -> int
-(** Bytes written by replay and not yet acknowledged by the client. *)
-
-val logged_input : conn -> int
-(** Total input bytes logged so far. *)
-
-val out_seq : conn -> int
-(** Mirror of the primary's [snd_nxt] (sum of forwarded segment sizes). *)
-
-val live_conns : t -> conn list
 val listener_configs : t -> listener_config list
 
 (** {1 Failover} *)

@@ -528,7 +528,7 @@ let test_failover_requeues_unaccepted () =
   Alcotest.(check bool) "generator drained" true
     (Ivar.peek (Loadgen.ol_done ol) <> None);
   Alcotest.(check bool) "failover happened" true
-    (Ivar.peek (Cluster.failover_done cluster) <> None);
+    (Cluster.failover_completed_at cluster <> None);
   Alcotest.(check bool)
     (Printf.sprintf "unaccepted connections were requeued (%d)"
        (List.length requeues))
@@ -546,12 +546,13 @@ let test_failover_requeues_unaccepted () =
 
 (* A small replicated web server under closed-loop load, optionally killed
    mid-run: the shape every SLO-style experiment builds. *)
-let web_scenario ?(kills = []) () =
-  Scenario.make ~kills ~drain:(Time.ms 100) (Replicated Scenario.fast_failover)
+let web_scenario ?(kills = []) ?(config = Scenario.fast_failover)
+    ?(stop = Time.ms 1200) () =
+  Scenario.make ~kills ~drain:(Time.ms 100) (Replicated config)
     (Mongoose.run
        ~params:{ Mongoose.default_params with Mongoose.cpu_per_request = Time.ms 1 })
     (Ab { target = "/"; concurrency = 4; start = Some (Time.ms 200) })
-    [ Until (Time.ms 500); Until (Time.ms 1200) ]
+    [ Until (Time.ms 500); Until stop ]
 
 let test_scenario_no_fault_phases_empty () =
   let r = Scenario.run (Engine.create ~seed:3 ()) (web_scenario ()) in
@@ -571,11 +572,7 @@ let test_scenario_no_fault_phases_empty () =
   | Some p50 -> Alcotest.(check bool) "pre p50 is a latency" true (p50 > 0.)
   | None -> Alcotest.fail "pre-fault phase reported empty"
 
-let test_scenario_phases_partition () =
-  let r =
-    Scenario.run (Engine.create ~seed:5 ())
-      (web_scenario ~kills:[ (Replica_set.Primary, Time.ms 600) ] ())
-  in
+let check_phases_partition r =
   let lo, hi =
     match r.Scenario.window with
     | Some w -> w
@@ -600,6 +597,25 @@ let test_scenario_phases_partition () =
     + Metrics.Hist.count r.Scenario.post);
   Alcotest.(check bool) "post-recovery phase saw traffic" true
     (Metrics.Hist.count r.Scenario.post > 0)
+
+(* With re-protection the run lasts until the regenerated backup is
+   spliced in: the window must still match the takeover it came from. *)
+let test_scenario_phases_partition () =
+  List.iter
+    (fun (config, stop, epoch) ->
+      let r =
+        Scenario.run (Engine.create ~seed:5 ())
+          (web_scenario ~config ~stop
+             ~kills:[ (Replica_set.Primary, Time.ms 600) ]
+             ())
+      in
+      Alcotest.(check int) "epoch at the end" epoch
+        (Cluster.epoch (Scenario.cluster r));
+      check_phases_partition r)
+    [
+      (Scenario.fast_failover, Time.ms 1200, 0);
+      ({ Scenario.fast_failover with reprotect = true }, Time.ms 2400, 1);
+    ]
 
 let test_scenario_deterministic () =
   let run () =

@@ -238,6 +238,8 @@ let test_failover_echo_continues () =
   let cluster, result =
     run_echo_scenario ~kill_primary_at:(Some (Time.ms 120)) ~messages eng
   in
+  (* The takeover moves the primary role: keep the original primary. *)
+  let primary = Cluster.primary_partition cluster in
   Engine.run ~until:(Time.sec 30) eng;
   Cluster.shutdown cluster;
   (match Ivar.peek result with
@@ -246,9 +248,37 @@ let test_failover_echo_continues () =
         (String.concat "" messages) s
   | None -> Alcotest.fail "client did not finish after failover");
   Alcotest.(check bool) "failover actually happened" true
-    (Ivar.peek (Cluster.failover_done cluster) <> None);
-  Alcotest.(check bool) "primary is down" true
-    (Partition.is_halted (Cluster.primary_partition cluster))
+    (Cluster.failover_completed_at cluster <> None);
+  Alcotest.(check bool) "primary is down" true (Partition.is_halted primary)
+
+(* The takeover moves the primary role in every mode: without
+   re-protection a second primary kill lands on the survivor, and with no
+   backup left the set ends in [Outage]. *)
+let test_second_primary_kill_outage () =
+  let eng = Engine.create () in
+  let messages = List.init 30 (fun i -> Printf.sprintf "msg-%02d|" i) in
+  let cluster, _result =
+    run_echo_scenario ~kill_primary_at:(Some (Time.ms 120)) ~messages eng
+  in
+  let primary = Cluster.primary_partition cluster in
+  let survivor = Cluster.secondary_partition cluster in
+  Cluster.kill cluster ~role:Replica_set.Primary ~at:(Time.ms 800);
+  Engine.run ~until:(Time.sec 5) eng;
+  Cluster.shutdown cluster;
+  Alcotest.(check bool) "first takeover done before the second kill" true
+    (match Cluster.failover_completed_at cluster with
+    | Some t -> t < Time.ms 800
+    | None -> false);
+  Alcotest.(check int) "one takeover" 1 (Cluster.failover_count cluster);
+  Alcotest.(check bool) "survivor held the primary role" true
+    (Cluster.primary_partition cluster == survivor);
+  Alcotest.(check bool) "both partitions halted" true
+    (Partition.is_halted primary && Partition.is_halted survivor);
+  Alcotest.(check bool) "Protected -> Degraded -> Outage" true
+    (List.map
+       (fun tr -> (tr.Cluster.tr_from, tr.Cluster.tr_to))
+       (Cluster.transitions cluster)
+    = [ (Cluster.Protected, Cluster.Degraded); (Degraded, Outage) ])
 
 let test_failover_duration_dominated_by_driver () =
   let eng = Engine.create () in
@@ -597,11 +627,13 @@ let test_fs_survives_failover () =
     if Kernel.name api.Api.kernel = "secondary" then secondary_done := true
   in
   let cluster = Cluster.create eng ~config:test_config ~app () in
+  (* The takeover moves the primary role: keep the survivor's namespace. *)
+  let survivor = Cluster.secondary_namespace cluster in
   Cluster.kill cluster ~role:Replica_set.Primary ~at:(Time.ms 50);
   Engine.run ~until:(Time.sec 10) eng;
   Cluster.shutdown cluster;
   Alcotest.(check bool) "secondary finished the journal" true !secondary_done;
-  let vs = Namespace.vfs_of (Cluster.secondary_namespace cluster) in
+  let vs = Namespace.vfs_of survivor in
   Alcotest.(check (option int)) "complete journal, no gaps or dups"
     (Some (400 * 5))
     (Vfs.size vs ~path:"/journal")
@@ -1187,7 +1219,7 @@ let test_batch_boundary_failover () =
         (String.concat "" messages) s
   | None -> Alcotest.fail "client did not finish after failover");
   Alcotest.(check bool) "failover happened" true
-    (Ivar.peek (Cluster.failover_done cluster) <> None);
+    (Cluster.failover_completed_at cluster <> None);
   (* Batching was actually exercised: fewer frames than records. *)
   let v n = Metrics.Counter.value (Metrics.Registry.counter (Engine.metrics eng) n) in
   Alcotest.(check bool) "frames were sent" true (v "msglayer.frames_sent" > 0);
@@ -1197,9 +1229,9 @@ let test_batch_boundary_failover () =
      at the halt instant some flushed LSN had no ack yet. *)
   let evs = Evlog.events (Engine.evlog eng) in
   let t_halt =
-    match Cluster.primary_halted_at cluster with
-    | Some t -> t
-    | None -> Alcotest.fail "primary did not halt"
+    match Cluster.takeovers cluster with
+    | [ { halted = Some t; _ } ] -> t
+    | _ -> Alcotest.fail "primary did not halt"
   in
   let flushed_max = ref (-1) and acked_at_halt = ref (-1) in
   List.iter
@@ -1264,10 +1296,8 @@ let test_trace_failover_phases () =
   let g0, g1 = phase "failover.golive" in
   Alcotest.(check bool) "phases are contiguous" true
     (d1 = r0 && r1 = v0 && v1 = g0);
-  match
-    (Cluster.primary_halted_at cluster, Cluster.failover_completed_at cluster)
-  with
-  | Some halt, Some live ->
+  match Cluster.takeovers cluster with
+  | [ { halted = Some halt; completed = Some live; _ } ] ->
       Alcotest.(check int) "detect begins at the halt" halt d0;
       Alcotest.(check int) "golive ends at completion" live g1;
       let sum = d1 - d0 + (r1 - r0) + (v1 - v0) + (g1 - g0) in
@@ -1344,16 +1374,16 @@ let run_channel_boundary_failover ~replay_workers () =
         (String.concat "" messages) s
   | None -> Alcotest.fail "client did not finish after failover");
   Alcotest.(check bool) "failover happened" true
-    (Ivar.peek (Cluster.failover_done cluster) <> None);
+    (Cluster.failover_completed_at cluster <> None);
   Alcotest.(check bool) "digests agree" true
     (Cluster.compare_digests cluster = None);
   Alcotest.(check bool) "no replay divergence" true
     (Cluster.replay_divergence cluster = None);
   let evs = Evlog.events (Engine.evlog eng) in
   let t_halt =
-    match Cluster.primary_halted_at cluster with
-    | Some t -> t
-    | None -> Alcotest.fail "primary did not halt"
+    match Cluster.takeovers cluster with
+    | [ { halted = Some t; _ } ] -> t
+    | _ -> Alcotest.fail "primary did not halt"
   in
   let chans_of e =
     let rec go i =
@@ -1700,6 +1730,8 @@ let () =
         [
           Alcotest.test_case "echo continues across failover" `Quick
             test_failover_echo_continues;
+          Alcotest.test_case "second primary kill: outage" `Quick
+            test_second_primary_kill_outage;
           Alcotest.test_case "duration dominated by driver" `Quick
             test_failover_duration_dominated_by_driver;
           Alcotest.test_case "secondary failure: solo" `Quick

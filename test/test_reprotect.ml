@@ -390,8 +390,8 @@ let test_replica_set_surface () =
   Engine.run ~until:(Time.sec 30) eng;
   Cluster.shutdown cluster;
   Alcotest.(check int) "one takeover" 1 (Cluster.failover_count cluster);
-  (match (Cluster.winner cluster, Cluster.members cluster) with
-  | Some w, p :: _ ->
+  (match (Cluster.takeovers cluster, Cluster.members cluster) with
+  | [ { winner = Some w; _ } ], p :: _ ->
       Alcotest.(check bool) "winner listed as primary" true
         (p.Replica_set.m_role = Replica_set.Primary
         && p.Replica_set.m_partition == List.nth backups w);

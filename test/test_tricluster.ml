@@ -41,6 +41,12 @@ let echo_app (api : Api.t) =
   serve ()
 
 (* A paced client: sends [messages] one at a time, awaiting each echo. *)
+(* The backup slot that won the newest takeover. *)
+let winner t =
+  match Cluster.takeovers t with
+  | { Cluster.winner; _ } :: _ -> winner
+  | [] -> None
+
 let spawn_client _eng client messages =
   let result = Ivar.create () in
   ignore
@@ -100,11 +106,12 @@ let test_triple_primary_failover () =
   Alcotest.(check (option string)) "stream exactly once across failover"
     (Some (String.concat "" messages))
     (Ivar.peek result);
-  (match Cluster.winner t with
-  | Some w -> Alcotest.(check bool) "a backup won" true (w = 0 || w = 1)
-  | None -> Alcotest.fail "no winner");
+  (match Cluster.takeovers t with
+  | [ { winner = Some w; _ } ] ->
+      Alcotest.(check bool) "a backup won" true (w = 0 || w = 1)
+  | _ -> Alcotest.fail "no winner");
   Alcotest.(check bool) "failover completed" true
-    (Ivar.is_filled (Cluster.failover_done t))
+    (Cluster.failover_completed_at t <> None)
 
 let test_triple_double_sequential_failure () =
   (* Backup 0 dies first; the primary continues replicated to backup 1;
@@ -126,9 +133,33 @@ let test_triple_double_sequential_failure () =
     (Some (String.concat "" messages))
     (Ivar.peek result);
   Alcotest.(check (option int)) "the surviving backup won" (Some 1)
-    (Cluster.winner t);
+    (winner t);
   Alcotest.(check bool) "backup 0 is down" true
     (Partition.is_halted (Cluster.backup_partition t 0))
+
+(* A chaos fault aimed at backup slot 1 is resolved when it fires and
+   lands on backup 1 alone. *)
+let test_triple_inject_backup_slot () =
+  let eng = Engine.create () in
+  let link = gbit_link eng in
+  let t =
+    Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
+      ~app:echo_app ()
+  in
+  let primary = Cluster.primary_partition t in
+  Cluster.inject t ~target:(Chaos.T_backup 1) ~at:(Time.ms 60) ~disrupts:false
+    Fault.Core_failstop;
+  let halted () =
+    List.map Partition.is_halted
+      [ primary; Cluster.backup_partition t 0; Cluster.backup_partition t 1 ]
+  in
+  Engine.run ~until:(Time.ms 59) eng;
+  Alcotest.(check (list bool)) "nothing halted before the fault fires"
+    [ false; false; false ] (halted ());
+  Engine.run ~until:(Time.ms 61) eng;
+  Alcotest.(check (list bool)) "backup 1 halted when it fired"
+    [ false; false; true ] (halted ());
+  Cluster.shutdown t
 
 let test_triple_deterministic () =
   let run () =
@@ -145,7 +176,7 @@ let test_triple_deterministic () =
     in
     Engine.run ~until:(Time.sec 15) eng;
     Cluster.shutdown t;
-    (Ivar.peek result, Cluster.winner t,
+    (Ivar.peek result, winner t,
      Cluster.backup_received_lsn t 0, Cluster.backup_received_lsn t 1)
   in
   Alcotest.(check bool) "two runs bit-identical" true (run () = run ())
@@ -180,8 +211,8 @@ let test_triple_failover_phases () =
   let g0, g1 = phase "failover.golive" in
   Alcotest.(check bool) "phases are contiguous" true
     (d1 = r0 && r1 = v0 && v1 = g0);
-  (match (Cluster.primary_halted_at t, Cluster.failover_completed_at t) with
-  | Some halt, Some live ->
+  (match Cluster.takeovers t with
+  | [ { halted = Some halt; completed = Some live; _ } ] ->
       Alcotest.(check int) "detect begins at the halt" halt d0;
       Alcotest.(check int) "golive ends at completion" live g1;
       let sum = d1 - d0 + (r1 - r0) + (v1 - v0) + (g1 - g0) in
@@ -220,6 +251,8 @@ let () =
           Alcotest.test_case "primary failover" `Quick test_triple_primary_failover;
           Alcotest.test_case "double sequential failure" `Quick
             test_triple_double_sequential_failure;
+          Alcotest.test_case "chaos fault on backup slot 1" `Quick
+            test_triple_inject_backup_slot;
           Alcotest.test_case "deterministic" `Quick test_triple_deterministic;
           Alcotest.test_case "failover phases" `Quick
             test_triple_failover_phases;
